@@ -25,6 +25,10 @@ TOKEN_PATTERN = "[a-z0-9]+"
 SPLIT_PATTERN = "[^a-z0-9]+"
 
 
+# saved-config keys of earlier index formats that no longer configure anything
+_RETIRED_FIELDS = frozenset({"champions"})
+
+
 @dataclass
 class PipelineConfig:
     # ---- index layout --------------------------------------------------
@@ -35,14 +39,9 @@ class PipelineConfig:
     O(10^4-10^5) so one shard's postings stay ~1-2 GB."""
 
     postings_block: int = 128
-    """Postings per block for block-max metadata (WAND-style skipping)."""
-
-    champions: int = 256
-    """Champion-list length: for hot terms (df > 4x this), the top-C
-    postings by idf-free partial score (part desc, doc asc — the exact
-    total order single-term queries rank by) are stored explicitly, so a
-    single-term query reads C entries instead of scanning df postings.
-    Exact for k <= C; 0 disables."""
+    """Postings per block of AND-mode skip metadata: each block's last
+    doc_id and byte offsets let a conjunctive query decode only the blocks
+    that can hold a candidate doc."""
 
     with_positions: bool = False
     """Store per-term position lists (phrase/AND queries).  Off for the
@@ -131,6 +130,16 @@ class PipelineConfig:
 
     # ---- misc ----------------------------------------------------------
     seed: int = 42
+
+    @classmethod
+    def from_saved(cls, saved: dict, **overrides) -> "PipelineConfig":
+        """Rebuild the config an index was built with from its stats.json
+        ``config`` dict: JSON lists back to tuples, and knobs that no longer
+        exist (``champions``, format v7 and earlier) dropped, so older
+        indexes can still be appended to, compacted, merged and resharded."""
+        c = {k: v for k, v in saved.items() if k not in _RETIRED_FIELDS}
+        c["stopword_filter"] = tuple(c.get("stopword_filter", ()))
+        return cls(**{**c, **overrides})
 
     def rows_per_band(self) -> int:
         assert self.minhash_perms % self.minhash_bands == 0

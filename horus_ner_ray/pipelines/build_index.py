@@ -24,7 +24,7 @@ Phase A — map (one task per input Parquet fragment, shuffle-free):
 Phase B — merge (one task per shard):
     streaming k-way merge of the shard's sorted runs, term-at-a-time
     (heap over run cursors' head terms; per term the runs' doc-sorted slices
-    merge into one ascending doc list), delta+varint encode, block-max
+    merge into one ascending doc list), delta+varint encode, block-skip
     metadata, atomic shard publish.  Hot terms are bounded by the shard's
     doc range — this is where the north-star's "salted partial posting
     lists + streaming k-way merge per term" lives: the salt is the doc
@@ -56,6 +56,7 @@ from horus_ner_ray.config import PipelineConfig
 from horus_ner_ray.stages import docstore as dstore
 from horus_ner_ray.stages.tokenize import explode_with_dl_codes
 from horus_ner_ray.state.shards import (
+    FRAG_FORMAT_VERSION,
     INDEX_FORMAT_VERSION,
     IndexPaths,
     atomic_write_json,
@@ -160,11 +161,11 @@ class TokenizeFragmentWorker:
         mpath = self.paths.frag_manifest(frag_id)
         if mpath.exists():
             m = json.loads(mpath.read_text())
-            # resume only output of the SAME source file and format version:
-            # a manifest from an older engine version describes runs the
-            # current merge/reader may not understand — redo, don't trust
+            # resume only output of the SAME source file and fragment
+            # format: a manifest from an older fragment format describes
+            # runs the current merge may not understand — redo, don't trust
             if (m.get("path") == path
-                    and m.get("version") == INDEX_FORMAT_VERSION):
+                    and m.get("version") == FRAG_FORMAT_VERSION):
                 return m
         t0 = time.time()
         pf = pq.ParquetFile(path)
@@ -269,7 +270,7 @@ class TokenizeFragmentWorker:
             writer.close()
             os.replace(dst_tmp, dst)
         manifest = {
-            "version": INDEX_FORMAT_VERSION,
+            "version": FRAG_FORMAT_VERSION,
             "frag_id": frag_id,
             "path": path,
             "n_turns": n_turns,
@@ -649,8 +650,8 @@ def _run_pipelined(
     """Dependency-aware build DAG (raw Ray tasks — the one structure the
     Dataset API cannot express): shard ``s`` merges as soon as the
     fragments whose doc ranges overlap ``s`` finish, overlapping phases A
-    and B on the critical path; only the tiny avgdl reduce (needed for
-    block-max metadata) waits on all fragments, gating just the final
+    and B on the critical path; only the tiny avgdl reduce (stamped into
+    each shard manifest) waits on all fragments, gating just the final
     encode step.  In hash mode every fragment can touch every shard, so
     merges degrade to the full barrier."""
     import ray
@@ -928,7 +929,7 @@ def build_index(
         "store_columns": list(store_cols_decl),
         # the FULL build config: append_fragments must re-tokenize new
         # fragments and re-encode shards with exactly the original knobs
-        # (stopword_filter, postings_block, champions, ...) or the result
+        # (stopword_filter, postings_block, ...) or the result
         # silently diverges from a from-scratch build
         "config": {**asdict(cfg), "stopword_filter": list(cfg.stopword_filter)},
     }
@@ -953,10 +954,10 @@ def append_fragments(
     Here the ``processed`` flag is the per-fragment run manifest: phase A
     (tokenize + run writing, the dominant cost) runs ONLY for the new
     fragments; phase B re-merges shards from the persisted run files — a
-    full re-merge is semantically required regardless of layout, because
-    appending docs changes N/avgdl and therefore every shard's BM25
-    block-max metadata.  Output is byte-identical to a from-scratch build
-    over old+new (determinism invariant; tested).
+    full re-merge is required regardless of layout, because new hash-mode
+    docs can land in every shard and appending docs changes the avgdl
+    every shard manifest records.  Output is byte-identical to a
+    from-scratch build over old+new (determinism invariant; tested).
 
     Hash mode only: hash doc ids are a pure per-row function, so existing
     ids never move.  Rank mode is refused — dense rank ids shift when new
@@ -993,9 +994,7 @@ def append_fragments(
                 f"append_fragments: {p} carries optional docstore columns "
                 f"{got} but the index declared {declared}; normalize the "
                 f"source schema or rebuild")
-    saved = dict(stats["config"])
-    saved["stopword_filter"] = tuple(saved.get("stopword_filter", ()))
-    cfg = PipelineConfig(**saved)
+    cfg = PipelineConfig.from_saved(stats["config"])
     import shutil
 
     # invalidate merged shards (runs persist; new stats force re-encode)

@@ -287,9 +287,7 @@ class _CompactShardWorker:
         if isinstance(deleted, ray.ObjectRef):
             deleted = ray.get(deleted)
         self.paths = IndexPaths(index_dir)
-        c = dict(cfg_dict)
-        c["stopword_filter"] = tuple(c.get("stopword_filter", ()))
-        self.cfg = PipelineConfig(**c)
+        self.cfg = PipelineConfig.from_saved(cfg_dict)
         self.avgdl = float(avgdl)
         self.deleted = np.asarray(deleted, dtype=np.int64)
 
@@ -402,11 +400,12 @@ def compact_index(index_dir: str | Path, concurrency: int | None = None) -> dict
     interrupted compaction still serves the masked stale-stats answer and
     a re-run converges (already-filtered parts/shards are no-op or
     idempotent rewrites).  A ``compacting.json`` marker brackets the
-    shard-rewrite window: engines seeing it take the exhaustive exact
-    scoring path, because rewritten shards carry pruning metadata built
-    with the NEXT avgdl while stats.json still holds the old one —
-    mismatched MaxScore/champion bounds could otherwise prune true
-    top-k docs."""
+    shard-rewrite window, in which rewritten shards carry the NEXT avgdl
+    while stats.json still holds the old one: ``verify_index``, merge and
+    snapshot refuse an index carrying it.  Queries ignore it: scoring
+    takes avgdl and df from stats.json and df.parquet, never from shard
+    metadata, so an engine in the window serves the masked stale-stats
+    answer."""
     import ray
 
     from horus_ner_ray.pipelines.build_index import _map_items, _write_df_table
@@ -419,8 +418,9 @@ def compact_index(index_dir: str | Path, concurrency: int | None = None) -> dict
     deleted = read_tombstones(index_dir)
     if deleted is None:
         # a crash between the tombstone unlink and the marker unlink
-        # would otherwise strand compacting.json forever (every future
-        # engine forced exhaustive) — this is the only other remover
+        # would otherwise strand compacting.json forever (verify, merge
+        # and snapshot would refuse the index) — this is the only other
+        # remover
         (paths.root / "compacting.json").unlink(missing_ok=True)
         return {"deleted": 0, "compacted": False}
     stats = json.loads(paths.stats_json.read_text())
@@ -438,13 +438,10 @@ def compact_index(index_dir: str | Path, concurrency: int | None = None) -> dict
 
     # 2) shard + run-file rewrite with the NEW avgdl (one task per shard;
     #    runs must be filtered too or the next append_fragments' re-merge
-    #    would resurrect deleted docs from them).  The marker makes the
-    #    crash window SOUND, not just stale: rewritten shards carry
-    #    block-max/champion metadata computed with the NEW avgdl while
-    #    stats.json still holds the old one, and a MaxScore upper bound
-    #    built from mismatched avgdl can prune true top-k docs — engines
-    #    seeing the marker route every query down the exhaustive exact
-    #    path until the publish completes
+    #    would resurrect deleted docs from them).  The marker brackets the
+    #    crash window for verify, merge and snapshot: rewritten shard
+    #    manifests carry the NEW avgdl while stats.json still holds the
+    #    old one until the publish completes
     atomic_write_json(paths.root / "compacting.json",
                       {"avgdl_next": avgdl, "n_docs_next": n_docs})
     shard_items = [{"shard_id": s} for s in range(int(stats["n_shards"]))]
@@ -474,9 +471,7 @@ def compact_index(index_dir: str | Path, concurrency: int | None = None) -> dict
         atomic_write_json(mpath, m)
 
     # 4) publish: df table, stats, resume invalidation, tombstone clear
-    c = dict(cfg_dict)
-    c["stopword_filter"] = tuple(c.get("stopword_filter", ()))
-    _write_df_table(paths, PipelineConfig(**c))
+    _write_df_table(paths, PipelineConfig.from_saved(cfg_dict))
     gen = int(stats.get("compaction_gen", 0)) + 1
     stats.update({"n_docs": n_docs, "total_tokens": total_tokens,
                   "avgdl": avgdl, "compaction_gen": gen})

@@ -54,6 +54,7 @@ import json
 import os
 import shutil
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,7 @@ import pyarrow.parquet as pq
 
 from horus_ner_ray.config import PipelineConfig
 from horus_ner_ray.state.shards import (
-    INDEX_FORMAT_VERSION,
+    FRAG_FORMAT_VERSION,
     IndexPaths,
     atomic_write_json,
 )
@@ -140,7 +141,7 @@ class _ImportFragWorker:
         if mpath.exists():
             m = json.loads(mpath.read_text())
             if (m.get("path") == path
-                    and m.get("version") == INDEX_FORMAT_VERSION):
+                    and m.get("version") == FRAG_FORMAT_VERSION):
                 return m
         t0 = time.time()
         if Path(docstore_part).exists():
@@ -169,7 +170,7 @@ class _ImportFragWorker:
             new_files = json.loads(
                 w.reshard_frag(new_fid, run_files)["new_files"])
         manifest = {
-            "version": INDEX_FORMAT_VERSION,
+            "version": FRAG_FORMAT_VERSION,
             "frag_id": new_fid,
             "path": path,
             "n_turns": n_turns,
@@ -238,10 +239,9 @@ def merge_indexes(index_dirs: list[str | Path], out_dir: str | Path,
     from horus_ner_ray.pipelines.build_index import _JOB_NEUTRAL_FIELDS
 
     def _effective(s: dict) -> dict:
-        c = {k: v for k, v in s["config"].items()
-             if k not in _JOB_NEUTRAL_FIELDS and k != "num_shards"}
-        c["stopword_filter"] = list(c.get("stopword_filter", ()))
-        return c
+        c = asdict(PipelineConfig.from_saved(s["config"]))
+        return {k: v for k, v in c.items()
+                if k not in _JOB_NEUTRAL_FIELDS and k != "num_shards"}
 
     eff0 = _effective(stats_list[0])
     for d, s in zip(roots[1:], stats_list[1:]):
@@ -270,9 +270,7 @@ def merge_indexes(index_dirs: list[str | Path], out_dir: str | Path,
     if mode == "provided":
         id_space = max(_docstore_id_space(p) for p in in_paths)
 
-    saved = dict(stats_list[0]["config"])
-    saved["stopword_filter"] = tuple(saved.get("stopword_filter", ()))
-    cfg = PipelineConfig(**{**saved, "num_shards": S})
+    cfg = PipelineConfig.from_saved(stats_list[0]["config"], num_shards=S)
 
     # resume gate: same inputs + config resume; anything else wipes the
     # partial output first.  merged_from distinguishes a merge from a
@@ -294,10 +292,10 @@ def merge_indexes(index_dirs: list[str | Path], out_dir: str | Path,
     for p in in_paths:
         for mfile in sorted(p.runs.glob("_frag-*.json")):
             m = json.loads(mfile.read_text())
-            if m.get("version") != INDEX_FORMAT_VERSION:
+            if m.get("version") != FRAG_FORMAT_VERSION:
                 raise ValueError(
-                    f"{p.root} holds fragment state from index format "
-                    f"{m.get('version')} (engine is {INDEX_FORMAT_VERSION})"
+                    f"{p.root} holds fragment state from fragment format "
+                    f"{m.get('version')} (engine reads {FRAG_FORMAT_VERSION})"
                     " — rebuild or re-merge it with this engine first")
             old_fid = int(m["frag_id"])
             items.append({
@@ -331,8 +329,6 @@ def merge_indexes(index_dirs: list[str | Path], out_dir: str | Path,
                {"index_dir": str(out_root), "cfg": cfg, "avgdl": avgdl},
                concurrency or cfg.merge_concurrency)
     _write_df_table(out_paths, cfg)
-
-    from dataclasses import asdict
 
     stats = {
         "n_docs": n_docs,

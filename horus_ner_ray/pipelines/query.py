@@ -13,8 +13,8 @@ their top-k results are rank-identical (SURVEY.md section 5 item b):
   per-shard top-k heap and merges the tiny per-shard results.  This is the
   query plan the doc-partitioned layout buys: every shard computes complete
   scores for its own docs, so "global top-k" is `S * k` candidate rows, not
-  a shuffle.  AND-mode intersection uses the block-max metadata to skip
-  decoding blocks that cannot contain candidates.
+  a shuffle.  AND-mode intersection uses the per-block skip metadata to
+  skip decoding blocks that cannot contain candidates.
 
 Determinism / rank-identity (SURVEY.md section 7.4): both sides accumulate
 per-document scores in ascending-term order over IEEE float64 and tie-break
@@ -1524,12 +1524,7 @@ class QueryEngine:
 
         self._deleted = read_tombstones(self.paths.root)
         self._live_cache: dict[int, np.ndarray | None] = {}
-        # an in-flight compaction rewrites shards with the NEXT avgdl
-        # before stats publish; champion/MaxScore bounds built from
-        # mismatched avgdl are unsound, so the marker forces the
-        # exhaustive exact path until the publish completes
-        self._force_exhaustive = (self.paths.root / "compacting.json").exists()
-        self.pruned_term_evals = 0  # MaxScore restrictions taken (introspection)
+        self.pruned_term_evals = 0  # always 0 (nothing prunes); perfbench still reads it
         self._tv_terms: np.ndarray | None = None  # term vectors (expansion)
         self._tv: np.ndarray | None = None
         self._tv_idx: dict[str, int] = {}
@@ -1602,9 +1597,8 @@ class QueryEngine:
         identical float).  Unclamped (no per-term floor) — scores may be
         negative; ranking is (score desc, doc_id asc).  Collection
         statistics (cf, total tokens) come from the prebuilt df table and
-        stay global; tombstones mask before top-k.  Exhaustive per shard —
-        the BM25 block-max bounds don't apply to this score shape; the
-        scan is the same vectorized postings_local pass as match_count."""
+        stay global; tombstones mask before top-k.  Exhaustive per shard:
+        the same vectorized postings_local pass as match_count."""
         all_terms = query_terms(text)
         terms = [t for t in all_terms if self.global_df(t) > 0]
         if not terms or (mode == "and" and len(terms) != len(all_terms)):
@@ -1665,8 +1659,7 @@ class QueryEngine:
         queryNorm is dropped — constant per query, rank-neutral.
         Collection statistics (N, df) come from the prebuilt df table and
         stay global; tombstones mask before top-k.  Exhaustive per shard,
-        the same vectorized postings_local pass as search_lm (the BM25
-        block-max bounds don't transfer to this score shape)."""
+        the same vectorized postings_local pass as search_lm."""
         all_terms = query_terms(text)
         terms = [t for t in all_terms if self.global_df(t) > 0]
         if not terms or (mode == "and" and len(terms) != len(all_terms)):
@@ -3075,15 +3068,6 @@ class QueryEngine:
     def _reader(self, si: int) -> ShardReader:
         r = self._readers.get(si)
         if r is None:
-            # re-probe the compaction marker at OPEN time: a compaction
-            # that started after this engine's construction may have
-            # rewritten this shard with NEXT-avgdl pruning metadata — an
-            # already-open reader keeps serving its old mmap'd inode
-            # (consistent), but a fresh open sees the new file and must
-            # not prune against the engine's old stats
-            if not self._force_exhaustive and (
-                    self.paths.root / "compacting.json").exists():
-                self._force_exhaustive = True
             r = self._readers[si] = ShardReader(
                 self._shard_dirs[si], cache_postings=self._cache_per_reader
             )
@@ -3205,156 +3189,25 @@ class QueryEngine:
         return w
 
     # -- OR (disjunctive) scoring: vectorized term-at-a-time ---------------
-    #
-    # MaxScore-style pruning with an exact rescore: terms are processed in
-    # descending upper-bound order (ub_t = idf_t * max block_max); once the
-    # running kth score exceeds the sum of remaining terms' upper bounds, no
-    # unseen doc can reach the top-k, so remaining (typically hot, low-idf)
-    # terms are restricted to still-viable candidates and only the posting
-    # BLOCKS containing those candidates are decoded (true partial decode).
-    # Because the pruning pass accumulates in ub order (different float
-    # summation order), survivors are rescored exactly in ascending-term
-    # order — bitwise identical to the brute-force oracle.
 
     def _score_shard_or(
         self, si: int, terms: list[str], idfs: list[float], k: int,
         mask: np.ndarray | None = None, wvec: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        r = self._reader(si)
-        nd = len(r.docids)
-        if nd == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0)
-        if self._force_exhaustive and mask is None:
-            mask = np.ones(nd, dtype=bool)  # disables champion/MaxScore
-        dl_arr = np.asarray(r.dl, dtype=np.float64)
-        docids = np.asarray(r.docids)
-        present = [(t, idf, r.term_index(t)) for t, idf in zip(terms, idfs)]
-        present = [(t, idf, ti) for t, idf, ti in present if ti is not None]
-        if not present:
-            return np.zeros(0, dtype=np.int64), np.zeros(0)
-        if mask is not None or wvec is not None:
-            # field-filtered/-weighted search: the champion/MaxScore fast
-            # paths prune against UNFILTERED, UNWEIGHTED top-k thresholds
-            # (a filtered/boosted doc outside the champion prefix could
-            # belong in the adjusted top-k), so scoring takes the
-            # exhaustive exact path with mask/weights applied before top-k
-            return self._score_shard_or_simple(r, present, k, docids, dl_arr,
-                                               mask=mask, wvec=wvec)
-        if len(present) == 1:  # no pruning possible; champions or plain scan
-            _, idf, ti = present[0]
-            cd, ctf = r.champions(ti)
-            if 0 < k + 8 <= len(cd):
-                # champion list is stored in (part desc, doc asc) — the
-                # exact total order a single-term query ranks by, and the
-                # query-side score recomputation is the same arithmetic as
-                # the build-side part (shards.py:230), so the prefix's
-                # scores are non-increasing and every unfetched posting
-                # scores <= the prefix's last entry (multiplying by idf > 0
-                # is IEEE-monotone).  Exactness check: if the prefix's kth
-                # score strictly exceeds its last score, no unfetched doc
-                # can tie into the top-k; otherwise (a float tie at the
-                # boundary) fall through to the exact full scan — the fast
-                # path is provably exact, never probabilistically so.
-                n = k + 8
-                d, tf = cd[:n], ctf[:n]
-                li = np.searchsorted(docids, d)
-                tff = tf.astype(np.float64)
-                denom = tff + self.k1 * (1.0 - self.b + self.b * dl_arr[li] / self.avgdl)
-                s = idf * (tff * (self.k1 + 1.0)) / denom
-                kth = np.partition(s, len(s) - k)[len(s) - k]
-                if kth > s[n - 1]:
-                    return _topk_with_ties(d, s, k)
-                self.champion_fallbacks = getattr(self, "champion_fallbacks", 0) + 1
-            d, tf, li = r.postings_local(ti)
-            tff = tf.astype(np.float64)
-            denom = tff + self.k1 * (1.0 - self.b + self.b * dl_arr[li] / self.avgdl)
-            return _topk_with_ties(d, idf * (tff * (self.k1 + 1.0)) / denom, k)
-        ubs = np.array([idf * r.max_block_part(ti) for _, idf, ti in present])
-        order = np.argsort(-ubs, kind="stable")
-        rest = np.zeros(len(order) + 1)
-        rest[:-1] = np.cumsum(ubs[order][::-1])[::-1]  # rest[i] = sum ub from i on
-        cum = np.cumsum(ubs[order])  # cum[i] = max possible acc after step i
-        if k <= 0 or not (cum[:-1] > rest[1:-1] * (1.0 + 1e-9)).any():
-            # pruning can never fire (e.g. all-hot same-magnitude terms):
-            # plain exact ascending-order accumulation, zero overhead
-            return self._score_shard_or_simple(r, present, k, docids, dl_arr)
-
-        acc = np.zeros(nd, dtype=np.float64)
-        hit = np.zeros(nd, dtype=bool)
-        theta = -np.inf
-        decoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for step, oi in enumerate(order):
-            t, idf, ti = present[oi]
-            if k > 0 and theta > rest[step] * (1.0 + 1e-9):
-                # no new doc can enter: restrict to viable candidates' blocks
-                # (slack absorbs float-reordering ulps in acc/theta)
-                self.pruned_term_evals += 1
-                viable = np.flatnonzero(
-                    hit & (acc + rest[step] >= theta - abs(theta) * 1e-9)
-                )
-                if len(viable) == 0:
-                    decoded[ti] = (np.zeros(0, np.int64), np.zeros(0, np.int32))
-                    continue
-                lasts = np.asarray(r.block_last[ti].as_py(), dtype=np.int64)
-                blocks = np.unique(np.searchsorted(lasts, docids[viable]))
-                blocks = blocks[blocks < len(lasts)]
-                if len(blocks) * r.manifest["postings_block"] >= 0.8 * r.df[ti]:
-                    d, tf, li = r.postings_local(ti)  # selection covers ~whole list
-                else:
-                    d, tf = r.postings_blocks(ti, blocks)
-                    li = np.searchsorted(docids, d)
-            else:
-                d, tf, li = r.postings_local(ti)
-            decoded[ti] = (d, tf)
-            if len(d) == 0:
-                continue
-            tff = tf.astype(np.float64)
-            denom = tff + self.k1 * (1.0 - self.b + self.b * dl_arr[li] / self.avgdl)
-            acc[li] += idf * (tff * (self.k1 + 1.0)) / denom
-            hit[li] = True
-            if k > 0 and len(li) >= k and step + 1 < len(order):
-                # cheap SAFE theta: kth-largest over docs touched by THIS
-                # term (a subset of all hit docs -> underestimates true
-                # theta -> prunes less, never wrongly)
-                touched = acc[li]
-                cand_theta = np.partition(touched, len(touched) - k)[len(touched) - k]
-                if cand_theta > theta:
-                    theta = cand_theta
-        cand = np.flatnonzero(hit)
-        if len(cand) == 0 or k <= 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0)
-        # survivor set: everything within a float-reordering margin of the
-        # kth pruned score (reordered sums differ by ulps only)
-        if len(cand) > k:
-            kth = np.partition(acc[cand], len(cand) - k)[len(cand) - k]
-            keep = acc[cand] >= kth - abs(kth) * 1e-9
-            cand = cand[keep]
-        cdocs = docids[cand]
-        cdl = dl_arr[cand]
-        exact = np.zeros(len(cand), dtype=np.float64)
-        for t, idf, ti in present:  # ascending-term order == oracle order
-            d, tf = decoded[ti]
-            if len(d) == 0:
-                continue
-            pos = np.searchsorted(d, cdocs)
-            pos_c = np.minimum(pos, len(d) - 1)
-            valid = d[pos_c] == cdocs
-            tff = np.where(valid, tf[pos_c], 0).astype(np.float64)
-            denom = tff + self.k1 * (1.0 - self.b + self.b * cdl / self.avgdl)
-            contrib = idf * (tff * (self.k1 + 1.0)) / denom
-            exact += np.where(valid, contrib, 0.0)
-        return _topk_with_ties(cdocs, exact, k)
-
-    def _score_shard_or_simple(self, r, present, k, docids, dl_arr,
-                               mask: np.ndarray | None = None,
-                               wvec: np.ndarray | None = None):
         """Exact TAAT in ascending-term order (oracle accumulation order);
         ``mask`` (local-index bool) drops docs BEFORE top-k selection;
         ``wvec`` multiplies each doc's accumulated score once."""
-        nd = len(docids)
+        r = self._reader(si)
+        nd = len(r.docids)
+        tis = [r.term_index(t) for t in terms]
+        if nd == 0 or all(ti is None for ti in tis):
+            return np.zeros(0, dtype=np.int64), np.zeros(0)
+        dl_arr = np.asarray(r.dl, dtype=np.float64)
         acc = np.zeros(nd, dtype=np.float64)
         hit = np.zeros(nd, dtype=bool)
-        for _, idf, ti in present:
+        for idf, ti in zip(idfs, tis):
+            if ti is None:
+                continue
             d, tf, li = r.postings_local(ti)
             tff = tf.astype(np.float64)
             denom = tff + self.k1 * (1.0 - self.b + self.b * dl_arr[li] / self.avgdl)
@@ -3368,9 +3221,9 @@ class QueryEngine:
         sc = acc[cand]
         if wvec is not None:
             sc = sc * wvec[cand]
-        return _topk_with_ties(docids[cand], sc, k)
+        return _topk_with_ties(np.asarray(r.docids)[cand], sc, k)
 
-    # -- AND (conjunctive) with block-max skipping -------------------------
+    # -- AND (conjunctive) with block skipping -----------------------------
 
     def _score_shard_and(
         self, si: int, terms: list[str], idfs: list[float], k: int,
@@ -3393,15 +3246,11 @@ class QueryEngine:
             # filter candidates up front: the intersection only shrinks, so
             # block skipping over the filtered candidate set stays exact
             cand = cand[mask[np.searchsorted(np.asarray(r.docids), cand)]]
-        B = r.manifest["postings_block"]
         for oi in order[1:]:
             ti = tis[oi]
             if len(cand) == 0:
                 return np.zeros(0, dtype=np.int64), np.zeros(0)
-            lasts = np.asarray(r.block_last[ti].as_py(), dtype=np.int64)
-            blocks = np.unique(np.searchsorted(lasts, cand))
-            blocks = blocks[blocks < len(lasts)]
-            d, tf = r.postings_blocks(ti, blocks)
+            d, tf = r.postings_covering(ti, cand)
             decoded[ti] = (d, tf)
             cand = cand[np.isin(cand, d, assume_unique=True)]
         if len(cand) == 0:
@@ -3970,8 +3819,9 @@ class QueryEngine:
         ``term^boost``): each boosted term's idf is multiplied ONCE before
         accumulation, so contributions scale while accumulation order (and
         bitwise rank parity with the brute-force oracle) is untouched.
-        Boosts must be > 0 — the MaxScore/champion pruning bounds assume
-        positive per-term upper bounds."""
+        Boosts must be > 0: a zero or negative weight would still return
+        docs matching only that term, at score <= 0 — a soft NOT that
+        ``exclude=`` already expresses as a true boolean NOT."""
         base = query_terms(text)
         if boosts is not None and any(float(w) <= 0.0 for w in boosts.values()):
             raise ValueError("boosts must be > 0 (use exclude= for NOT)")
@@ -4021,19 +3871,15 @@ class QueryEngine:
                            field: str) -> tuple[np.ndarray, np.ndarray,
                                                 np.ndarray] | None:
         """One shard's FULL match set as (field value, doc, score) arrays
-        — the grouping primitives' shared head.  Forces the exhaustive
-        exact path (all-ones mask) so scores accumulate in the oracle's
-        ascending-term order; live docs masked before anything returns."""
+        — the grouping primitives' shared head; live docs masked before
+        anything returns."""
         r = self._reader(si)
         nd = len(r.docids)
         if nd == 0:
             return None
-        m = self._live_mask(si)
-        if m is None:
-            m = np.ones(nd, dtype=bool)
         score_fn = (self._score_shard_or if mode == "or"
                     else self._score_shard_and)
-        d, s = score_fn(si, terms, idfs, nd, mask=m)
+        d, s = score_fn(si, terms, idfs, nd, mask=self._live_mask(si))
         if len(d) == 0:
             return None
         vals = self._doc_attrs(si).get(field)
@@ -4149,21 +3995,15 @@ class QueryEngine:
     def _shard_scores_full(self, si: int, terms: list[str],
                            idfs: list[float],
                            mode: str) -> tuple[np.ndarray, np.ndarray] | None:
-        """One shard's FULL match set (doc, score) — the all-ones mask
-        forces the exhaustive exact path so accumulation order matches
-        the brute-force oracle; live docs masked.  Shared head of the
-        score-rewriting searches (boosting / dis_max), which must see
-        every match before demotion/combination."""
-        r = self._reader(si)
-        nd = len(r.docids)
+        """One shard's FULL match set (doc, score), live docs masked.
+        Shared head of the score-rewriting searches (boosting / dis_max),
+        which must see every match before demotion/combination."""
+        nd = len(self._reader(si).docids)
         if nd == 0:
             return None
-        m = self._live_mask(si)
-        if m is None:
-            m = np.ones(nd, dtype=bool)
         score_fn = (self._score_shard_or if mode == "or"
                     else self._score_shard_and)
-        d, s = score_fn(si, terms, idfs, nd, mask=m)
+        d, s = score_fn(si, terms, idfs, nd, mask=self._live_mask(si))
         if len(d) == 0:
             return None
         return d, s
@@ -4174,9 +4014,9 @@ class QueryEngine:
         """Boosting query (Lucene BoostingQuery / ES ``boosting``): docs
         matching the positive query rank by BM25; docs that ALSO contain
         any negative-query term are demoted — final score multiplied by
-        ``negative_boost`` in (0, 1] — not excluded.  Exhaustive per shard
-        (demotion invalidates the MaxScore pruning bounds: an unpruned
-        doc can overtake a demoted top doc), negative membership from one
+        ``negative_boost`` in (0, 1] — not excluded.  Full match set per
+        shard (a doc outside the undemoted top-k can overtake a demoted
+        top doc), negative membership from one
         postings decode per negative term (``_exclude_mask``, no text
         access), ONE multiply per demoted doc AFTER accumulation (exact
         for power-of-two boosts, the role_weights arithmetic point) —
@@ -4222,8 +4062,9 @@ class QueryEngine:
         achieving the max (np.argmax's rule == the oracle's first-argmax)
         and the rest-sum accumulates in subquery-list order with an exact
         +0.0 at the max slot — bitwise-identical to the oracle's
-        skip-the-max loop.  Exhaustive per shard (the combination breaks
-        per-subquery pruning bounds); per-shard top-k bounds the merge."""
+        skip-the-max loop.  Full match set per subquery and shard (the
+        combination reorders per-subquery top-k); per-shard top-k bounds
+        the merge."""
         per_terms = [self._or_and_terms(q, mode) for q in queries]
         docs: list[np.ndarray] = []
         scores: list[np.ndarray] = []

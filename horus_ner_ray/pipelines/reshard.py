@@ -152,9 +152,7 @@ def reshard_index(index_dir: str | Path, new_num_shards: int,
         raise ValueError(f"new_num_shards must be positive, got {new_num}")
     if new_num == old_num:
         return {"resharded": False, "n_shards": old_num}
-    saved = dict(stats["config"])
-    saved["stopword_filter"] = tuple(saved.get("stopword_filter", ()))
-    new_cfg = PipelineConfig(**{**saved, "num_shards": new_num})
+    new_cfg = PipelineConfig.from_saved(stats["config"], num_shards=new_num)
     # rank/provided routing needs the id space the build used.  Recover
     # max(doc_id)+1 from the docstore parts' footer stats in BOTH modes
     # (they mirror every corpus row, including zero-token docs absent

@@ -16,8 +16,8 @@ partially-written shards are invisible — SURVEY.md section 7.4 resume):
 
     shard-00042/
       postings.bin    per term: [FoR gap varints of doc_ids][varints of tfs]
-      dict.parquet    term-sorted: term, df, cf, max_tf, offsets/lengths,
-                      block_last: list<int64>, block_max: list<float32>
+      dict.parquet    term-sorted: term, df, cf, offsets/lengths,
+                      per-block last doc_id / byte offsets (lists)
       docids.npy      sorted doc_ids present in this shard (int64)
       dl.npy          document length per docids entry (int32)
       manifest.json   lineage: run files merged, counts, bytes, wall, params
@@ -52,7 +52,17 @@ from horus_ner_ray.state import codec
 # within chunk) instead of one full-fragment sort.  Shard bytes unchanged.
 # v6: docstore parts additionally carry the source's tool/ts columns when
 # present (field-scoped search filters + snippet fetch).
-INDEX_FORMAT_VERSION = 7
+# v8: dict.parquet drops the block_max, champ_docs/champ_tfs, block_n and
+# max_tf columns (OR scoring is one exact pass; AND block skipping reads only
+# block_last and the block byte offsets).  Run files, docstore parts and
+# fragment manifests are unchanged.
+INDEX_FORMAT_VERSION = 8
+# Fragment state (run files, docstore parts, _frag-*.json manifests) has its
+# own version, bumped only when that state changes: v8 changed shards alone,
+# so fragment state written at v7 (including a compacted index's filtered
+# runs, which the original corpus can no longer reproduce) resumes and
+# merges as is instead of being re-tokenized.
+FRAG_FORMAT_VERSION = 7
 
 
 def shard_of_rank(doc_ids: np.ndarray, n_docs: int, num_shards: int) -> np.ndarray:
@@ -176,8 +186,8 @@ def write_shard(
     """Vectorized whole-shard encode + atomic publish.
 
     One varint pass over the full gap stream and one over the tf stream
-    (per-term offsets derived from the vectorized byte counts); block-max
-    metadata via ``reduceat`` over block boundaries.  Layout: a doc-gap
+    (per-term offsets derived from the vectorized byte counts); per-block
+    skip metadata from the block boundaries.  Layout: a doc-gap
     region then a tf region; dict offsets are absolute so the reader is
     layout-agnostic.  Replaces a per-term encode loop that spent ~35us of
     fixed numpy overhead per term (measured; 180k terms -> 6s+ saved/shard
@@ -242,20 +252,13 @@ def write_shard(
     # per-term scalar stats (segmented reduces)
     if n_terms:
         cf = np.add.reduceat(tfs.astype(np.int64), term_starts)
-        max_tf = np.maximum.reduceat(tfs, term_starts).astype(np.int32)
     else:
         cf = np.zeros(0, np.int64)
-        max_tf = np.zeros(0, np.int32)
 
-    # block-max metadata: per block of B postings the last doc_id and the
-    # max idf-free BM25 partial tf*(k1+1)/(tf + k1*(1-b+b*dl/avgdl)); times
-    # the term's idf at query time it upper-bounds the block (WAND skipping)
+    # AND-mode skip metadata: per block of B postings the last doc_id and
+    # the byte offsets of its gap/tf streams
     B = cfg.postings_block
-    k1, b = cfg.k1, cfg.b
     if n_post:
-        dls = shard_dl[np.searchsorted(shard_docids, docs)].astype(np.float64)
-        tff = tfs.astype(np.float64)
-        part = (tff * (k1 + 1.0)) / (tff + k1 * (1.0 - b + b * dls / avgdl))
         nblk = (df + B - 1) // B
         blk_offsets = np.zeros(n_terms + 1, dtype=np.int64)
         np.cumsum(nblk, out=blk_offsets[1:])
@@ -264,85 +267,33 @@ def write_shard(
         intra = (np.arange(blk_offsets[-1]) - np.repeat(blk_offsets[:-1], nblk)) * B
         blk_starts = reps + intra
         blk_ends = np.minimum(blk_starts + B, np.repeat(term_ends, nblk))
-        bm64 = np.maximum.reduceat(part, blk_starts)
-        block_max_v = bm64.astype(np.float32)
-        # round UP where float32 narrowing rounded down — block_max must
-        # upper-bound the true partial or WAND/MaxScore pruning is unsound
-        low = block_max_v.astype(np.float64) < bm64
-        if low.any():
-            block_max_v[low] = np.nextafter(
-                block_max_v[low], np.float32(np.inf), dtype=np.float32
-            )
-        block_last_v = docs[blk_ends - 1]
         off32 = pa.array(blk_offsets, pa.int32())
-        block_last = pa.ListArray.from_arrays(off32, pa.array(block_last_v, pa.int64()))
-        block_max = pa.ListArray.from_arrays(off32, pa.array(block_max_v, pa.float32()))
-        # byte offsets of each block's gap/tf streams -> true partial decode
-        # (a block's doc base is the previous block's block_last)
+        block_last = pa.ListArray.from_arrays(off32, pa.array(docs[blk_ends - 1], pa.int64()))
+        # a block's doc base is the previous block's block_last
         block_doc_boff = pa.ListArray.from_arrays(
             off32, pa.array(doc_cum[blk_starts], pa.int64())
         )
         block_tf_boff = pa.ListArray.from_arrays(
             off32, pa.array(doc_region + tf_cum[blk_starts], pa.int64())
         )
-        block_nn = pa.ListArray.from_arrays(
-            off32, pa.array((blk_ends - blk_starts).astype(np.int32), pa.int32())
-        )
     else:
         empty_off = pa.array(np.zeros(n_terms + 1, dtype=np.int32))
         block_last = pa.ListArray.from_arrays(empty_off, pa.array([], pa.int64()))
-        block_max = pa.ListArray.from_arrays(empty_off, pa.array([], pa.float32()))
         block_doc_boff = pa.ListArray.from_arrays(empty_off, pa.array([], pa.int64()))
         block_tf_boff = pa.ListArray.from_arrays(empty_off, pa.array([], pa.int64()))
-        block_nn = pa.ListArray.from_arrays(empty_off, pa.array([], pa.int32()))
-
-    # champion lists for hot terms: top-C postings in the exact order a
-    # single-term query ranks by (part desc, doc asc); exact for k <= C
-    C = cfg.champions
-    champ_off = np.zeros(n_terms + 1, dtype=np.int32)
-    champ_docs_v: list[np.ndarray] = []
-    champ_tfs_v: list[np.ndarray] = []
-    if C > 0 and n_post:
-        # loop only over the (few) hot terms, not the whole vocabulary
-        counts = np.zeros(n_terms, dtype=np.int32)
-        for t in np.flatnonzero(df > 4 * C):
-            lo, hi = term_starts[t], term_ends[t]
-            p = part[lo:hi]
-            order = np.lexsort((docs[lo:hi], -p))[:C]
-            champ_docs_v.append(docs[lo:hi][order])
-            champ_tfs_v.append(tfs[lo:hi][order])
-            counts[t] = len(order)
-        np.cumsum(counts, out=champ_off[1:])
-    champ_docs = pa.ListArray.from_arrays(
-        pa.array(champ_off), pa.array(
-            np.concatenate(champ_docs_v) if champ_docs_v else np.zeros(0, np.int64),
-            pa.int64(),
-        )
-    )
-    champ_tfs = pa.ListArray.from_arrays(
-        pa.array(champ_off), pa.array(
-            np.concatenate(champ_tfs_v) if champ_tfs_v else np.zeros(0, np.int32),
-            pa.int32(),
-        )
-    )
 
     cols = {
         "term": terms if isinstance(terms, (pa.Array, pa.ChunkedArray))
         else pa.array(terms, pa.string()),
         "df": pa.array(df, pa.int64()),
         "cf": pa.array(cf, pa.int64()),
-        "max_tf": pa.array(max_tf, pa.int32()),
         "doc_off": pa.array(doc_off, pa.int64()),
         "doc_len": pa.array(doc_len, pa.int64()),
         "tf_off": pa.array(tf_off, pa.int64()),
         "tf_len": pa.array(tf_len, pa.int64()),
         "block_last": block_last,
-        "block_max": block_max,
         "block_doc_boff": block_doc_boff,
         "block_tf_boff": block_tf_boff,
-        "block_n": block_nn,
-        "champ_docs": champ_docs,
-        "champ_tfs": champ_tfs,
     }
     if pos_off is not None:
         cols["pos_off"] = pa.array(pos_off, pa.int64())
@@ -380,10 +331,18 @@ def write_shard(
 # ---------------------------------------------------------------------------
 
 
+def _flat_list(col: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, values) of a list<int> column as int64 numpy arrays: row
+    i is values[offsets[i]:offsets[i + 1]]."""
+    la = col.combine_chunks()
+    return (np.asarray(la.offsets, dtype=np.int64),
+            np.asarray(la.values, dtype=np.int64))
+
+
 class ShardReader:
     """Reads one shard (mmap'd postings + dictionary arrays).
 
-    ``cache_postings`` > 0 enables a bounded LRU of DECODED posting lists
+    ``cache_postings`` > 0 enables a bounded FIFO of DECODED posting lists
     keyed by term index — the reference's per-term memo cache
     (HORUS_TERM_SEARCH probe-before-insert, reference:
     src/core/feature_extraction/util.py:947-1016) re-expressed for a warm
@@ -410,12 +369,11 @@ class ShardReader:
         self.doc_len = np.asarray(t["doc_len"], dtype=np.int64)
         self.tf_off = np.asarray(t["tf_off"], dtype=np.int64)
         self.tf_len = np.asarray(t["tf_len"], dtype=np.int64)
-        self.block_last = t["block_last"].combine_chunks()
-        self.block_max = t["block_max"].combine_chunks()
-        self.block_doc_boff = t["block_doc_boff"].combine_chunks()
-        self.block_tf_boff = t["block_tf_boff"].combine_chunks()
-        self.champ_docs = t["champ_docs"].combine_chunks()
-        self.champ_tfs = t["champ_tfs"].combine_chunks()
+        # block lists as flat numpy arrays: term ti's blocks are
+        # [_blk_offs[ti], _blk_offs[ti + 1]) in each (shared offsets)
+        self._blk_offs, self._blk_last = _flat_list(t["block_last"])
+        _, self._blk_doc_boff = _flat_list(t["block_doc_boff"])
+        _, self._blk_tf_boff = _flat_list(t["block_tf_boff"])
         self.with_positions = "pos_off" in t.schema.names
         if self.with_positions:
             self.pos_off = np.asarray(t["pos_off"], dtype=np.int64)
@@ -429,29 +387,6 @@ class ShardReader:
         else:
             self.docids = np.load(d / "docids.npy", mmap_mode="r")
             self.dl = np.load(d / "dl.npy", mmap_mode="r")
-        self._max_part: np.ndarray | None = None
-
-    def champions(self, ti: int) -> tuple[np.ndarray, np.ndarray]:
-        """Hot-term champion postings in (part desc, doc asc) order; empty
-        arrays when the term has no champion list."""
-        offs = np.asarray(self.champ_docs.offsets, dtype=np.int64)
-        lo, hi = offs[ti], offs[ti + 1]
-        d = np.asarray(self.champ_docs.flatten(), dtype=np.int64)[lo:hi]
-        tf = np.asarray(self.champ_tfs.flatten(), dtype=np.int32)[lo:hi]
-        return d, tf
-
-    def max_block_part(self, ti: int) -> float:
-        """Max idf-free BM25 partial over the term's blocks (MaxScore ub)."""
-        if self._max_part is None:
-            la = self.block_max
-            flat = np.asarray(la.flatten(), dtype=np.float64)
-            offs = np.asarray(la.offsets, dtype=np.int64)
-            out = np.zeros(len(self.terms), dtype=np.float64)
-            nz = offs[1:] > offs[:-1]
-            if nz.any():
-                out[nz] = np.maximum.reduceat(flat, offs[:-1][nz])
-            self._max_part = out
-        return float(self._max_part[ti])
 
     def term_index(self, term: str) -> int | None:
         i = int(np.searchsorted(self.terms, term))
@@ -493,9 +428,10 @@ class ShardReader:
         stream restarts cleanly at block boundaries by construction).  Used
         by the AND-mode skipper: for selective intersections this touches
         O(candidate blocks), not the whole posting list."""
-        lasts = np.asarray(self.block_last[ti].as_py(), dtype=np.int64)
-        dboff = np.asarray(self.block_doc_boff[ti].as_py(), dtype=np.int64)
-        tboff = np.asarray(self.block_tf_boff[ti].as_py(), dtype=np.int64)
+        lo, hi = self._blk_offs[ti], self._blk_offs[ti + 1]
+        lasts = self._blk_last[lo:hi]
+        dboff = self._blk_doc_boff[lo:hi]
+        tboff = self._blk_tf_boff[lo:hi]
         nblk = len(lasts)
         term_doc_end = self.doc_off[ti] + self.doc_len[ti]
         term_tf_end = self.tf_off[ti] + self.tf_len[ti]
@@ -513,6 +449,19 @@ class ShardReader:
         if not docs_out:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32)
         return np.concatenate(docs_out), np.concatenate(tfs_out)
+
+    def postings_covering(self, ti: int, docs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Postings of term ``ti`` that can match any of the sorted doc ids
+        ``docs``: the whole cached list on a cache hit (a superset of the
+        covering blocks, so intersecting with it gives the same answer),
+        else a partial decode of only the blocks whose doc range covers
+        one of ``docs``."""
+        hit = self._pcache.get(ti)
+        if hit is not None:
+            return hit[0], hit[1]
+        lasts = self._blk_last[self._blk_offs[ti]:self._blk_offs[ti + 1]]
+        blocks = np.unique(np.searchsorted(lasts, docs))
+        return self.postings_blocks(ti, blocks[blocks < len(lasts)])
 
     def positions(self, ti: int, tfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Decode the term's position stream -> (flat int32, offsets) where

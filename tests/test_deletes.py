@@ -286,9 +286,8 @@ def test_compact_then_append_byte_identity(small_corpus, tmp_path_factory,
 def test_mid_compaction_marker_forces_exhaustive_and_stays_correct(
         small_corpus, tmp_path_factory, ray_session):
     """The compacting.json window: shards rewritten with the NEXT avgdl
-    while stats.json still holds the old one — engines must take the
-    exhaustive path (mismatched MaxScore/champion bounds are unsound)
-    and still answer masked-correct (code-review regression)."""
+    while stats.json still holds the old one — engines must still answer
+    masked-correct (code-review regression)."""
     from horus_ner_ray.pipelines.delete import (
         _CompactDocstoreWorker,
         _CompactShardWorker,
@@ -315,7 +314,6 @@ def test_mid_compaction_marker_forces_exhaustive_and_stays_correct(
     sw(pd.DataFrame([{"shard_id": s} for s in range(int(stats["n_shards"]))]))
     # stats.json still OLD; marker present
     eng = QueryEngine(idx)
-    assert eng._force_exhaustive
     o = _oracle_with_deletes(small_corpus, deleted)
     for q in reference_queries(k=10):
         assert eng.search(q["text"], q["k"]) == o.search(q["text"], q["k"])
@@ -324,16 +322,16 @@ def test_mid_compaction_marker_forces_exhaustive_and_stays_correct(
     out = compact_index(idx)
     assert out["compacted"]
     assert not (paths.root / "compacting.json").exists()
-    assert not QueryEngine(idx)._force_exhaustive
 
 
 def test_stale_compacting_marker_cleared_and_lazy_probe(
         small_corpus, tmp_path_factory, ray_session):
     """(a) a crash between the tombstone unlink and the marker unlink
     strands compacting.json — the no-op compact re-run must clear it, or
-    every future engine is forced exhaustive forever; (b) an engine built
-    BEFORE a compaction starts must pick the marker up at lazy shard
-    open, not only at construction (code-review regressions)."""
+    verify/merge/snapshot refuse the index forever; (b) an engine built
+    BEFORE a compaction starts opens its shards lazily after the marker
+    appears and still answers exactly like the oracle (code-review
+    regressions)."""
     from horus_ner_ray.pipelines.delete import compact_index
 
     idx = tmp_path_factory.mktemp("stalemk") / "idx"
@@ -341,15 +339,16 @@ def test_stale_compacting_marker_cleared_and_lazy_probe(
     # (b) engine constructed with no marker; marker appears before the
     # first shard open
     eng = QueryEngine(idx)
-    assert not eng._force_exhaustive
     (Path(idx) / "compacting.json").write_text("{}")
-    eng.search("the sessionmark", 5)  # triggers lazy reader open
-    assert eng._force_exhaustive
+    o = _oracle_with_deletes(small_corpus, [])
+    # the first search triggers the lazy reader open
+    assert eng.search("the sessionmark", 5) == o.search("the sessionmark", 5)
+    for q in reference_queries(k=10):
+        assert eng.search(q["text"], q["k"]) == o.search(q["text"], q["k"])
     # (a) the crash-stranded state: marker present, no tombstones
     out = compact_index(idx)
     assert out == {"deleted": 0, "compacted": False}
     assert not (Path(idx) / "compacting.json").exists()
-    assert not QueryEngine(idx)._force_exhaustive
 
 
 def test_compact_docstore_chunks_stay_sorted(tmp_path, monkeypatch):

@@ -88,7 +88,7 @@ def test_fuzz_rank_identity_with_postings_cache(seed, tmp_path, ray_session):
     never change results, including on repeated queries (hit path)."""
     rng = np.random.RandomState(seed)
     files = _random_corpus(rng, tmp_path, n_docs=250, n_files=2)
-    cfg = PipelineConfig(num_shards=3, postings_block=16, champions=8)
+    cfg = PipelineConfig(num_shards=3, postings_block=16)
     build_index(files, tmp_path / "idx", cfg)
     cached = QueryEngine(tmp_path / "idx", cache_postings=2000)
     plain = QueryEngine(tmp_path / "idx")

@@ -113,12 +113,12 @@ def test_append_refuses_rank_mode(small_corpus, tmp_path, ray_session):
 
 def test_append_preserves_nondefault_config(small_corpus, tmp_path, ray_session):
     """append_fragments must restore the ORIGINAL build config (stopword
-    filter, postings block, champions) from stats.json — not defaults."""
+    filter, postings block) from stats.json — not defaults."""
     from horus_ner_ray.pipelines.build_index import append_fragments, build_index
 
     cfg = PipelineConfig(
         num_shards=3, doc_id_mode="hash",
-        stopword_filter=("the", "to", "a"), postings_block=32, champions=8,
+        stopword_filter=("the", "to", "a"), postings_block=32,
     )
     full = tmp_path / "full"
     build_index(small_corpus, full, cfg)
@@ -134,3 +134,102 @@ def test_append_preserves_nondefault_config(small_corpus, tmp_path, ray_session)
         }
 
     assert idx_bytes(full) == idx_bytes(inc)
+
+
+def _oracle_without(files, drop_convs, out_path):
+    """BruteForceBM25 over ``files`` minus the conversations ``drop_convs``,
+    keyed by hash-mode doc ids."""
+    import pyarrow as pa
+
+    from horus_ner_ray.pipelines.query import BruteForceBM25
+    from horus_ner_ray.stages.docstore import assign_doc_ids_hash
+
+    t = pd.concat([pq.read_table(f, columns=["conv_id", "turn_idx", "text"])
+                   .to_pandas() for f in files], ignore_index=True)
+    t = t[~t["conv_id"].isin(drop_convs)].reset_index(drop=True)
+    t["doc_id"] = assign_doc_ids_hash(pa.Table.from_pandas(t))
+    t[["doc_id", "text"]].to_parquet(out_path, index=False)
+    return BruteForceBM25.from_document_files([str(out_path)])
+
+
+def _assert_matches_oracle(idx, oracle):
+    eng = QueryEngine(idx)
+    for q in reference_queries(k=10):
+        assert eng.search(q["text"], q["k"]) == oracle.search(q["text"], q["k"]), q
+    for q in ["alpha beta", "sessionmark the of", "the tok00042"]:
+        assert (eng.search(q, 10, mode="and")
+                == oracle.search(q, 10, mode="and")), q
+
+
+def _conv_ids(files):
+    return sorted(pd.concat([pq.read_table(f, columns=["conv_id"]).to_pandas()
+                             for f in files])["conv_id"].unique())
+
+
+def test_append_and_compact_accept_retired_champions_key(small_corpus, tmp_path,
+                                                         ray_session):
+    """An index whose stats.json config still carries the retired
+    ``champions`` knob (written by index format v7) must stay appendable
+    and compactable, and answer exactly like the oracle afterwards."""
+    import json
+
+    from horus_ner_ray.pipelines.build_index import append_fragments
+    from horus_ner_ray.pipelines.delete import compact_index, delete_by_conv
+
+    def add_retired_knob(idx):
+        sp = IndexPaths(idx).stats_json
+        stats = json.loads(sp.read_text())
+        stats["config"]["champions"] = 256
+        sp.write_text(json.dumps(stats))
+
+    idx = tmp_path / "idx"
+    build_index(small_corpus[:1], idx,
+                PipelineConfig(num_shards=3, doc_id_mode="hash"))
+    add_retired_knob(idx)
+    append_fragments(idx, small_corpus[1:])
+    _assert_matches_oracle(
+        idx, _oracle_without(small_corpus, [], tmp_path / "o0.parquet"))
+
+    add_retired_knob(idx)
+    convs = _conv_ids(small_corpus)[::5]
+    delete_by_conv(idx, convs)
+    assert compact_index(idx)["compacted"]
+    _assert_matches_oracle(
+        idx, _oracle_without(small_corpus, convs, tmp_path / "o1.parquet"))
+
+
+def test_compacted_v7_index_appends_and_merges_without_resurrection(
+        small_corpus, tmp_path, ray_session):
+    """A compacted index whose fragment and shard manifests carry format 7
+    (written before the v8 shard change) keeps its filtered fragment state:
+    append and merge must not re-tokenize the original corpus files, which
+    would bring the compacted-away conversations back as live docs."""
+    import json
+
+    from horus_ner_ray.pipelines.build_index import append_fragments
+    from horus_ner_ray.pipelines.delete import compact_index, delete_by_conv
+    from horus_ner_ray.pipelines.merge import merge_indexes
+
+    old = tmp_path / "old"
+    build_index(small_corpus[:2], old,
+                PipelineConfig(num_shards=3, doc_id_mode="hash"))
+    convs = _conv_ids(small_corpus[:2])[::4]
+    delete_by_conv(old, convs)
+    assert compact_index(old)["compacted"]
+    paths = IndexPaths(old)
+    for mp in [*paths.runs.glob("_frag-*.json"),
+               *paths.shards.glob("shard-*/manifest.json")]:
+        m = json.loads(mp.read_text())
+        m["version"] = 7
+        mp.write_text(json.dumps(m))
+    oracle = _oracle_without(small_corpus, convs, tmp_path / "o.parquet")
+
+    tail = tmp_path / "tail"
+    build_index(small_corpus[2:], tail,
+                PipelineConfig(num_shards=3, doc_id_mode="hash"))
+    merged = tmp_path / "merged"
+    merge_indexes([old, tail], merged)
+    _assert_matches_oracle(merged, oracle)
+
+    append_fragments(old, small_corpus[2:])
+    _assert_matches_oracle(old, oracle)

@@ -1,6 +1,7 @@
-"""MaxScore pruning stress test: a larger corpus and adversarial query
-mixes (hot+rare) where the pruned path actually fires; results must remain
-bitwise rank-identical to the oracle."""
+"""OR/AND scoring stress tests: a larger corpus and adversarial query mixes
+(hot+rare, all-ties) scored by the one exact per-shard pass; results must
+remain bitwise rank-identical to the oracle, with and without the
+decoded-postings cache."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from horus_ner_ray.config import PipelineConfig
 from horus_ner_ray.pipelines.build_index import build_index
 from horus_ner_ray.pipelines.query import BruteForceBM25, QueryEngine
+from horus_ner_ray.state.shards import ShardReader
 from horus_ner_ray.synth import synth_transcripts, transcript_files
 
 
@@ -21,67 +23,76 @@ def big_fixture(tmp_path_factory, ray_session):
     return str(idx), files
 
 
-def test_pruned_or_rank_identical(big_fixture):
-    idx, files = big_fixture
-    eng = QueryEngine(idx)
-    bf = BruteForceBM25.from_corpus_files(files)
-    rng = np.random.RandomState(0)
+def _hot_rare_queries(bf: BruteForceBM25, n: int, seed: int) -> list[str]:
+    rng = np.random.RandomState(seed)
     vocab = sorted(bf.postings, key=lambda t: -len(bf.postings[t]))
     hot, mid, rare = vocab[:5], vocab[20:40], vocab[-50:]
     queries = []
-    for i in range(40):
+    for _ in range(n):
         qterms = (
             [hot[rng.randint(len(hot))] for _ in range(rng.randint(1, 3))]
             + [mid[rng.randint(len(mid))] for _ in range(rng.randint(0, 3))]
             + [rare[rng.randint(len(rare))] for _ in range(rng.randint(0, 2))]
         )
         queries.append(" ".join(qterms))
-    queries += ["sessionmark the of to", "sessionmark uniqueedge1 the"]
-    for k in (1, 3, 10):
-        for q in queries:
-            assert eng.search(q, k) == bf.search(q, k), (q, k)
-    assert eng.pruned_term_evals > 0, "pruning never fired — stress mix too weak"
+    return queries + ["sessionmark the of to", "sessionmark uniqueedge1 the"]
 
 
-def test_champion_lists_single_term(big_fixture):
-    """Hot single-term queries answered from champion lists, exactly."""
+def test_or_rank_identical_hot_rare_mix(big_fixture):
     idx, files = big_fixture
     eng = QueryEngine(idx)
     bf = BruteForceBM25.from_corpus_files(files)
-    # confirm champions exist for the every-turn marker term in some shard
-    found = False
-    for si in range(len(eng._shard_dirs)):
-        r = eng._reader(si)
-        ti = r.term_index("sessionmark")
-        if ti is not None and len(r.champions(ti)[0]) > 0:
-            found = True
-    assert found, "fixture too small for champion lists (df <= 4*C)"
+    for k in (1, 3, 10):
+        for q in _hot_rare_queries(bf, 40, 0):
+            assert eng.search(q, k) == bf.search(q, k), (q, k)
+
+
+def test_hot_single_term_rank_identical(big_fixture):
+    """Hot single-term queries (the every-turn marker, stopwords)."""
+    idx, files = big_fixture
+    eng = QueryEngine(idx)
+    bf = BruteForceBM25.from_corpus_files(files)
     for term in ["sessionmark", "the", "of"]:
         for k in (1, 5, 10, 50):
             assert eng.search(term, k) == bf.search(term, k), (term, k)
 
 
-def test_pruning_skips_decode_bytes(big_fixture):
-    """The restricted path must touch fewer postings than full decode for a
-    hot+rare mix (sanity that the optimization is real, not just correct)."""
+def test_or_and_mix_rank_identical_with_postings_cache(big_fixture, monkeypatch):
+    """A hot+rare mix sent as OR and as AND: exact with the postings cache
+    off, and on a second pass with it on, when every term's list is cached
+    and AND intersects against the cached lists instead of decoding
+    blocks."""
     idx, files = big_fixture
-    eng = QueryEngine(idx)
-    before = eng.pruned_term_evals
-    eng.search("uniqueedge1 sessionmark the", 3)
-    assert eng.pruned_term_evals > before
+    bf = BruteForceBM25.from_corpus_files(files)
+    queries = _hot_rare_queries(bf, 30, 1)
+    plain = QueryEngine(idx)
+    cached = QueryEngine(idx, cache_postings=10_000_000)
+    for q in queries:
+        for mode in ("or", "and"):
+            want = bf.search(q, 10, mode=mode)
+            assert plain.search(q, 10, mode=mode) == want, (q, mode)
+            assert cached.search(q, 10, mode=mode) == want, (q, mode)
+    assert any(r._pcache for r in cached._readers.values())
+    block_decodes = []
+    orig = ShardReader.postings_blocks
+
+    def counting(reader, ti, blocks):
+        block_decodes.append(ti)
+        return orig(reader, ti, blocks)
+
+    monkeypatch.setattr(ShardReader, "postings_blocks", counting)
+    for q in queries:
+        for mode in ("or", "and"):
+            assert cached.search(q, 10, mode=mode) == bf.search(q, 10, mode=mode), (q, mode)
+    assert block_decodes == [], "AND re-decoded blocks of a cached list"
 
 
-def test_champion_boundary_tie_exact_fallback(tmp_path, ray_session):
+def test_all_ties_rank_by_doc_id(tmp_path, ray_session):
     """Adversarial: every posting of the hot term has the same (tf, dl), so
-    ALL scores tie and the champion prefix's kth score equals its last —
-    the fast path must detect the float-ambiguous boundary and fall back to
-    the exact full scan, ranking by doc_id asc like the oracle."""
+    ALL scores tie at every top-k boundary — the ranking must fall back to
+    doc_id asc exactly like the oracle."""
     import pyarrow as pa
     import pyarrow.parquet as pq
-
-    from horus_ner_ray.config import PipelineConfig
-    from horus_ner_ray.pipelines.build_index import build_index
-    from horus_ner_ray.pipelines.query import BruteForceBM25
 
     n = 150
     rows = [
@@ -92,22 +103,14 @@ def test_champion_boundary_tie_exact_fallback(tmp_path, ray_session):
     f = tmp_path / "docs.parquet"
     pq.write_table(pa.Table.from_pylist(rows), f)
     idx = tmp_path / "idx"
-    # C=16 so k+8 <= C engages the fast path; df=150 > 4*C builds champions
-    cfg = PipelineConfig(num_shards=1, doc_id_mode="provided", champions=16)
+    cfg = PipelineConfig(num_shards=1, doc_id_mode="provided")
     build_index([str(f)], idx, cfg)
     eng = QueryEngine(str(idx))
-    # champions must exist (df=60 > 4*8) and the fallback must fire
-    assert any(
-        (ti := eng._reader(si).term_index("hotterm")) is not None
-        and len(eng._reader(si).champions(ti)[0]) > 0
-        for si in range(len(eng._shard_dirs))
-    )
     bf = BruteForceBM25.from_document_files([str(f)])
     for k in (1, 5, 8):
         assert eng.search("hotterm", k) == bf.search("hotterm", k), k
-    assert getattr(eng, "champion_fallbacks", 0) > 0
 
-    # non-tied hot term still takes the fast path (no fallback)
+    # a hot term with distinct scores ranks the same way
     rows2 = [
         {"doc_id": i, "text": "hotterm " * (1 + i % 7) + "pad " * (i % 11)}
         for i in range(150)
