@@ -34,14 +34,16 @@ class PipelineConfig:
     # ---- index layout --------------------------------------------------
     num_shards: int = 16
     """Document-range shards of the global index.  Each shard holds the full
-    posting data for a contiguous doc_id range, so query-time top-k is a
-    per-shard heap + tiny global merge.  At 100 TB / 1e12 turns raise to
+    posting data for a contiguous doc_id range; a query engine folds the
+    shards it serves into one segment, so query-time top-k is one heap per
+    engine + a tiny global merge across serving actors.  At 100 TB / 1e12 turns raise to
     O(10^4-10^5) so one shard's postings stay ~1-2 GB."""
 
     postings_block: int = 128
     """Postings per block of AND-mode skip metadata: each block's last
     doc_id and byte offsets let a conjunctive query decode only the blocks
-    that can hold a candidate doc."""
+    that can hold a candidate doc.  The selected blocks, over every shard
+    an engine holds, are gathered and decoded in one varint pass."""
 
     with_positions: bool = False
     """Store per-term position lists (phrase/AND queries).  Off for the

@@ -23,13 +23,13 @@ def export_dataset(ds, path: str | Path, fmt: str = "parquet", **kw):
 def matches_dataset(index_dir: str | Path, text: str, mode: str = "or",
                     concurrency: int = 2):
     """The search -> Dataset bridge: the FULL match set of one query as a
-    ``ray.data.Dataset`` of (doc_id, score) rows, scored shard-by-shard
-    inside an actor pool (one QueryEngine per actor, opened once in
-    ``__init__``) — so a retrieval result can feed any downstream
-    ``map_batches`` pipeline (re-labeling, export, dedup against a
-    corpus) WITHOUT materializing on the driver.
+    ``ray.data.Dataset`` of (doc_id, score) rows, scored one shard subset
+    per task (each task opens a QueryEngine over its subset, the serving
+    actors' shape) — so a retrieval result can feed
+    any downstream ``map_batches`` pipeline (re-labeling, export, dedup
+    against a corpus) WITHOUT materializing on the driver.
 
-    Scores take the exhaustive exact path (``_shard_scores_full``):
+    Scores take the exhaustive exact path (``_full_scores``):
     ascending-term float64 accumulation, live docs masked — the same
     floats ``QueryEngine.search`` returns for those docs, so e6-domain
     results are oracle-checkable (driver query ``bm25_matches_export``).
@@ -46,36 +46,29 @@ def matches_dataset(index_dir: str | Path, text: str, mode: str = "or",
 
     index_dir = str(index_dir)
     n_shards = len(IndexPaths(index_dir).published_shards())
+    n_tasks = min(concurrency, max(1, n_shards))
 
-    class ShardMatcher:
-        def __init__(self):
-            self.engine = QueryEngine(index_dir)
-            self.terms, self.idfs = self.engine._or_and_terms(text, mode)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            docs, scores = [], []
-            for si in batch["shard"].tolist():
-                ds_ = (self.engine._shard_scores_full(
-                    int(si), self.terms, self.idfs, mode)
-                    if self.terms else None)
-                if ds_ is None:
-                    continue
-                d, s = ds_
-                docs.append(np.asarray(d, dtype=np.int64))
-                scores.append(np.asarray(s, dtype=np.float64))
-            if not docs:
-                return pd.DataFrame({"doc_id": pd.Series([], dtype=np.int64),
-                                     "score": pd.Series([], dtype=np.float64)})
-            return pd.DataFrame({"doc_id": np.concatenate(docs),
-                                 "score": np.concatenate(scores)})
+    def match_subsets(batch: pd.DataFrame) -> pd.DataFrame:
+        docs = [np.zeros(0, dtype=np.int64)]
+        scores = [np.zeros(0, dtype=np.float64)]
+        for sub in batch["shards"].tolist():
+            eng = QueryEngine(index_dir, shard_subset=[int(s) for s in sub])
+            terms, idfs = eng._or_and_terms(text, mode)
+            ds_ = eng._full_scores(terms, idfs, mode) if terms else None
+            if ds_ is not None:
+                docs.append(np.asarray(ds_[0], dtype=np.int64))
+                scores.append(np.asarray(ds_[1], dtype=np.float64))
+        return pd.DataFrame({"doc_id": np.concatenate(docs),
+                             "score": np.concatenate(scores)})
 
     env = worker_runtime_env()
     kw = {"runtime_env": env} if env else {}
+    subsets = [list(range(i, n_shards, n_tasks)) for i in range(n_tasks)]
     return rd.from_pandas(
-        pd.DataFrame({"shard": list(range(n_shards))})
-    ).repartition(n_shards).map_batches(
-        ShardMatcher, batch_format="pandas", batch_size=1,
-        concurrency=min(concurrency, max(1, n_shards)), **kw)
+        pd.DataFrame({"shards": subsets})
+    ).repartition(n_tasks).map_batches(
+        match_subsets, batch_format="pandas", batch_size=1,
+        concurrency=n_tasks, **kw)
 
 
 def write_partitioned_parquet(ds, out_dir, partition_col: str,

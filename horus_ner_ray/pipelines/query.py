@@ -1472,8 +1472,10 @@ class BruteForceBM25:
 
 class QueryEngine:
     """Scores queries against a built index.  Query-time state (stats, the
-    vocab df arrays, per-shard mmaps) loads once; shard readers open
-    lazily so an actor restart re-mmaps on first use (SURVEY.md 7.4)."""
+    vocab df arrays) loads once; the engine's shards fold into one
+    segment (``ShardReader``) on first use, so an actor restart re-mmaps
+    lazily (SURVEY.md 7.4) and every query runs one dictionary lookup, one
+    decode and one top-k per term set, however many shards it holds."""
 
     def __init__(self, index_dir: str | Path, shard_subset: list[int] | None = None,
                  cache_postings: int = 0):
@@ -1481,10 +1483,12 @@ class QueryEngine:
         multi-node serving shape: each actor owns a subset of shards and
         returns its exact local top-k; a tiny global merge combines them
         (doc-partitioned shards make the union of per-subset top-k exact).
-        Collection stats and the df table are global regardless.
+        Collection stats and the df table are global regardless.  The
+        subset (or every shard) is read as ONE segment, so per-query cost
+        follows the query's terms, not the number of shards held.
 
-        cache_postings: total decoded-postings budget across this engine's
-        shard readers (~20 B per cached posting incl. local indices); 0
+        cache_postings: the segment's decoded-postings budget, not split
+        per shard (~20 B per cached posting incl. local indices); 0
         disables.  The reference memo-caches term lookups the same way
         (HORUS_TERM_SEARCH probe-then-insert, util.py:947-1016); values are
         unchanged — only varint decode + searchsorted are skipped on hot
@@ -1512,18 +1516,16 @@ class QueryEngine:
         self._shard_dirs = self.paths.published_shards()
         if shard_subset is not None:
             self._shard_dirs = [self._shard_dirs[i] for i in shard_subset]
-        self._cache_per_reader = (
-            cache_postings // max(1, len(self._shard_dirs)) if cache_postings > 0 else 0
-        )
-        self._readers: dict[int, ShardReader] = {}
-        self._attr_cache: dict[int, dict[str, np.ndarray]] = {}
+        self._cache_postings = cache_postings
+        self._seg: ShardReader | None = None
+        self._attrs: dict[str, np.ndarray] | None = None
         # tombstones (pipelines/delete.py): deleted docs are masked BEFORE
         # top-k in every mode; stats stay stale until compact_index —
         # live-docs semantics, loaded once per engine
         from horus_ner_ray.pipelines.delete import read_tombstones
 
         self._deleted = read_tombstones(self.paths.root)
-        self._live_cache: dict[int, np.ndarray | None] = {}
+        self._live: np.ndarray | None = None  # set when the segment opens
         self.pruned_term_evals = 0  # always 0 (nothing prunes); perfbench still reads it
         self._tv_terms: np.ndarray | None = None  # term vectors (expansion)
         self._tv: np.ndarray | None = None
@@ -1597,7 +1599,7 @@ class QueryEngine:
         identical float).  Unclamped (no per-term floor) — scores may be
         negative; ranking is (score desc, doc_id asc).  Collection
         statistics (cf, total tokens) come from the prebuilt df table and
-        stay global; tombstones mask before top-k.  Exhaustive per shard:
+        stay global; tombstones mask before top-k.  Exhaustive over the segment:
         the same vectorized postings_local pass as match_count."""
         all_terms = query_terms(text)
         terms = [t for t in all_terms if self.global_df(t) > 0]
@@ -1605,47 +1607,23 @@ class QueryEngine:
             return []
         need = len(terms) if mode == "and" else 1
         tt = float(self.total_tokens)
-        docs_out: list[np.ndarray] = []
-        scores_out: list[np.ndarray] = []
-        for si in range(len(self._shard_dirs)):
-            r = self._reader(si)
-            nd = len(r.docids)
-            if nd == 0:
+        r = self._reader()
+        nd = len(r.docids)
+        dl = np.asarray(r.dl, dtype=np.float64)
+        acc = np.zeros(nd, dtype=np.float64)
+        cnt = np.zeros(nd, dtype=np.int64)
+        for t in terms:  # ascending-term accumulation (determinism)
+            ti = r.term_index(t)
+            if ti is None:
+                if mode == "and":
+                    return []
                 continue
-            dl = np.asarray(r.dl, dtype=np.float64)
-            acc = np.zeros(nd, dtype=np.float64)
-            cnt = np.zeros(nd, dtype=np.int64)
-            missing = False
-            for t in terms:  # ascending-term accumulation (determinism)
-                ti = r.term_index(t)
-                if ti is None:
-                    if mode == "and":
-                        missing = True
-                        break
-                    continue
-                _d, tf, li = r.postings_local(ti)
-                p = self.global_cf(t) / tt
-                acc[li] += (np.log(1.0 + tf.astype(np.float64) / (mu * p))
-                            + np.log(mu / (dl[li] + mu)))
-                cnt[li] += 1
-            if missing:
-                continue
-            hit = cnt >= need
-            lm = self._live_mask(si)
-            if lm is not None:
-                hit &= lm
-            idx = np.flatnonzero(hit)
-            if not len(idx):
-                continue
-            d, s = _topk_with_ties(np.asarray(r.docids)[idx], acc[idx], k)
-            docs_out.append(d)
-            scores_out.append(s)
-        if not docs_out:
-            return []
-        d = np.concatenate(docs_out)
-        s = np.concatenate(scores_out)
-        order = np.lexsort((d, -s))[:k]
-        return [(int(d[i]), float(s[i])) for i in order]
+            _d, tf, li = r.postings_local(ti)
+            p = self.global_cf(t) / tt
+            acc[li] += (np.log(1.0 + tf.astype(np.float64) / (mu * p))
+                        + np.log(mu / (dl[li] + mu)))
+            cnt[li] += 1
+        return self._ranked(cnt >= need, acc, k)
 
     def search_classic(self, text: str, k: int = 10,
                        mode: str = "or") -> list[tuple[int, float]]:
@@ -1658,7 +1636,7 @@ class QueryEngine:
         and np.log is the shared kernel, per search_lm's precedent).
         queryNorm is dropped — constant per query, rank-neutral.
         Collection statistics (N, df) come from the prebuilt df table and
-        stay global; tombstones mask before top-k.  Exhaustive per shard,
+        stay global; tombstones mask before top-k.  Exhaustive over the segment,
         the same vectorized postings_local pass as search_lm."""
         all_terms = query_terms(text)
         terms = [t for t in all_terms if self.global_df(t) > 0]
@@ -1666,53 +1644,40 @@ class QueryEngine:
             return []
         need = len(terms) if mode == "and" else 1
         n = float(self.n_docs)
-        docs_out: list[np.ndarray] = []
-        scores_out: list[np.ndarray] = []
-        for si in range(len(self._shard_dirs)):
-            r = self._reader(si)
-            nd = len(r.docids)
-            if nd == 0:
+        r = self._reader()
+        nd = len(r.docids)
+        dl = np.asarray(r.dl, dtype=np.float64)
+        acc = np.zeros(nd, dtype=np.float64)
+        cnt = np.zeros(nd, dtype=np.int64)
+        for t in terms:  # same term order as the brute oracle
+            ti = r.term_index(t)
+            if ti is None:
+                if mode == "and":
+                    return []
                 continue
-            dl = np.asarray(r.dl, dtype=np.float64)
-            acc = np.zeros(nd, dtype=np.float64)
-            cnt = np.zeros(nd, dtype=np.int64)
-            missing = False
-            for t in terms:  # same term order as the brute oracle
-                ti = r.term_index(t)
-                if ti is None:
-                    if mode == "and":
-                        missing = True
-                        break
-                    continue
-                _d, tf, li = r.postings_local(ti)
-                idf = float(1.0 + np.log(n / (self.global_df(t) + 1.0)))
-                acc[li] += (np.sqrt(tf.astype(np.float64)) * (idf * idf)
-                            / np.sqrt(dl[li]))
-                cnt[li] += 1
-            if missing:
-                continue
-            hit = cnt >= need
-            lm = self._live_mask(si)
-            if lm is not None:
-                hit &= lm
-            idx = np.flatnonzero(hit)
-            if not len(idx):
-                continue
-            d, s = _topk_with_ties(np.asarray(r.docids)[idx], acc[idx], k)
-            docs_out.append(d)
-            scores_out.append(s)
-        if not docs_out:
-            return []
-        d = np.concatenate(docs_out)
-        s = np.concatenate(scores_out)
-        order = np.lexsort((d, -s))[:k]
-        return [(int(d[i]), float(s[i])) for i in order]
+            _d, tf, li = r.postings_local(ti)
+            idf = float(1.0 + np.log(n / (self.global_df(t) + 1.0)))
+            acc[li] += (np.sqrt(tf.astype(np.float64)) * (idf * idf)
+                        / np.sqrt(dl[li]))
+            cnt[li] += 1
+        return self._ranked(cnt >= need, acc, k)
+
+    def _ranked(self, hit: np.ndarray, acc: np.ndarray,
+                k: int) -> list[tuple[int, float]]:
+        """Top-k (doc, score) of the segment's live docs where ``hit``,
+        ranked (score desc, doc_id asc)."""
+        lm = self._live_mask()
+        if lm is not None:
+            hit = hit & lm
+        idx = np.flatnonzero(hit)
+        d, s = _topk_with_ties(self._reader().docids[idx], acc[idx], k)
+        return [(int(x), float(y)) for x, y in zip(d, s)]
 
     def lm_scores(self, text: str, doc_ids,
                   mu: float = 1000.0) -> dict[int, float]:
         """Dirichlet query-likelihood scores for SPECIFIC docs — the
-        rescore window's second-phase scorer.  Per shard, only the
-        window members resident there accumulate (one postings_local
+        rescore window's second-phase scorer.  Only the window members
+        resident in this engine's segment accumulate (one postings_local
         searchsorted per term); the expression, np.log kernel and
         ascending-term order are exactly search_lm's, so a doc's score
         here is bitwise the score search_lm would give it.  Docs
@@ -1725,37 +1690,37 @@ class QueryEngine:
         if not len(ids) or not terms:
             return out
         tt = float(self.total_tokens)
-        for si in range(len(self._shard_dirs)):
-            r = self._reader(si)
-            docids = np.asarray(r.docids)
-            if not len(docids):
+        r = self._reader()
+        mem = self._resident(ids)
+        if not mem.any():
+            return out
+        wdocs = ids[mem]
+        dlw = r.doc_length(wdocs).astype(np.float64)
+        acc = np.zeros(len(wdocs), dtype=np.float64)
+        for t in terms:  # ascending-term accumulation (determinism)
+            ti = r.term_index(t)
+            if ti is None:
                 continue
-            pos = np.minimum(np.searchsorted(docids, ids), len(docids) - 1)
-            mem = docids[pos] == ids
-            if not mem.any():
+            d_arr, tf, _li = r.postings_local(ti)
+            j = np.minimum(np.searchsorted(d_arr, wdocs), len(d_arr) - 1)
+            ok = d_arr[j] == wdocs
+            if not ok.any():
                 continue
-            wdocs = ids[mem]
-            dlw = np.asarray(r.dl, dtype=np.float64)[pos[mem]]
-            acc = np.zeros(len(wdocs), dtype=np.float64)
-            for t in terms:  # ascending-term accumulation (determinism)
-                ti = r.term_index(t)
-                if ti is None:
-                    continue
-                d_arr, tf, _li = r.postings_local(ti)
-                if not len(d_arr):
-                    continue
-                j = np.minimum(np.searchsorted(d_arr, wdocs),
-                               len(d_arr) - 1)
-                ok = d_arr[j] == wdocs
-                if not ok.any():
-                    continue
-                p = self.global_cf(t) / tt
-                tfv = tf[j[ok]].astype(np.float64)
-                acc[ok] += (np.log(1.0 + tfv / (mu * p))
-                            + np.log(mu / (dlw[ok] + mu)))
-            for d, s in zip(wdocs, acc):
-                out[int(d)] = float(s)
+            p = self.global_cf(t) / tt
+            tfv = tf[j[ok]].astype(np.float64)
+            acc[ok] += (np.log(1.0 + tfv / (mu * p))
+                        + np.log(mu / (dlw[ok] + mu)))
+        for d, s in zip(wdocs, acc):
+            out[int(d)] = float(s)
         return out
+
+    def _resident(self, ids: np.ndarray) -> np.ndarray:
+        """Which of the sorted doc ids ``ids`` this engine's segment holds."""
+        docids = self._reader().docids
+        if not len(docids):
+            return np.zeros(len(ids), dtype=bool)
+        pos = np.minimum(np.searchsorted(docids, ids), len(docids) - 1)
+        return docids[pos] == ids
 
     def rescore_lm(self, text: str, k: int = 10, window: int = 50,
                    mu: float = 1000.0) -> list[tuple[int, float]]:
@@ -1960,28 +1925,18 @@ class QueryEngine:
         vmin: int | None = None
         vmax: int | None = None
         vsum = 0
-        for si in range(len(self._shard_dirs)):
-            r = self._reader(si)
-            if len(r.docids) == 0:
-                continue
-            vals = self._doc_attrs(si).get(field)
+        if len(self._reader().docids):
+            vals = self._doc_attrs().get(field)
             if vals is None:
                 raise ValueError(
                     f"index docstore has no '{field}' column")
             if not np.issubdtype(vals.dtype, np.integer):
                 raise ValueError(f"'{field}' is not an integer attribute")
-            hit = self._shard_match_mask(si, terms, need)
-            if hit is None:
-                continue
-            hit &= vals != sentinel
-            v = vals[hit]
-            if not len(v):
-                continue
-            total += int(len(v))
-            lo, hi = int(v.min()), int(v.max())
-            vmin = lo if vmin is None else min(vmin, lo)
-            vmax = hi if vmax is None else max(vmax, hi)
-            vsum += int(v.astype(object).sum())  # exact (Python ints)
+            v = vals[self._match_mask(terms, need) & (vals != sentinel)]
+            if len(v):
+                total = int(len(v))
+                vmin, vmax = int(v.min()), int(v.max())
+                vsum = int(v.astype(object).sum())  # exact (Python ints)
         if total == 0:
             return {"count": 0, "min": 0, "max": 0, "avg": 0, "sum": 0}
         return {"count": total, "min": vmin, "max": vmax,
@@ -2001,19 +1956,11 @@ class QueryEngine:
         nb = (hi - lo) // w + 1
         counts = np.zeros(nb, dtype=np.int64)
         sentinel = np.iinfo(np.int64).min
-        for si in range(len(self._shard_dirs)):
-            r = self._reader(si)
-            if len(r.docids) == 0:
-                continue
-            vals = self._doc_attrs(si).get(field)
-            hit = self._shard_match_mask(si, terms, need)
-            if hit is None:
-                continue
-            hit &= vals != sentinel
-            v = vals[hit]
+        if len(self._reader().docids):
+            vals = self._doc_attrs().get(field)
+            v = vals[self._match_mask(terms, need) & (vals != sentinel)]
             v = v[(v >= lo) & (v <= hi)]
-            if len(v):
-                counts += np.bincount((v - lo) // w, minlength=nb)
+            counts += np.bincount((v - lo) // w, minlength=nb)
         return counts, w
 
     def adjacency_matrix(self, filters: dict[str, str]
@@ -2030,34 +1977,26 @@ class QueryEngine:
             raise ValueError("filters must be non-empty")
         counts: dict[tuple[str, str], int] = {
             (a, b): 0 for i, a in enumerate(names) for b in names[i:]}
-        for si in range(len(self._shard_dirs)):
-            r = self._reader(si)
-            if len(r.docids) == 0:
-                continue
-            lm = self._live_mask(si)
-            sets: dict[str, np.ndarray] = {}
-            for name in names:
-                parts = []
-                for t in query_terms(filters[name]):
-                    ti = r.term_index(t)
-                    if ti is None:
-                        continue
-                    d_arr, _tf = r.postings(ti)
-                    if len(d_arr):
-                        parts.append(d_arr)
-                ds_ = (np.unique(np.concatenate(parts)) if parts
-                       else np.zeros(0, dtype=np.int64))
-                if lm is not None and len(ds_):
-                    ds_ = ds_[lm[np.searchsorted(
-                        np.asarray(r.docids), ds_)]]
-                sets[name] = ds_
-            for i, a in enumerate(names):
-                for b in names[i:]:
-                    if a == b:
-                        counts[(a, b)] += len(sets[a])
-                    else:
-                        counts[(a, b)] += len(np.intersect1d(
-                            sets[a], sets[b], assume_unique=True))
+        r = self._reader()
+        lm = self._live_mask()
+        sets: dict[str, np.ndarray] = {}
+        for name in names:
+            parts = [np.zeros(0, dtype=np.int64)]
+            for t in query_terms(filters[name]):
+                ti = r.term_index(t)
+                if ti is not None:
+                    parts.append(r.postings(ti)[0])
+            ds_ = np.unique(np.concatenate(parts))
+            if lm is not None:
+                ds_ = ds_[lm[np.searchsorted(r.docids, ds_)]]
+            sets[name] = ds_
+        for i, a in enumerate(names):
+            for b in names[i:]:
+                if a == b:
+                    counts[(a, b)] += len(sets[a])
+                else:
+                    counts[(a, b)] += len(np.intersect1d(
+                        sets[a], sets[b], assume_unique=True))
         return [(a, b, counts[(a, b)])
                 for i, a in enumerate(names) for b in names[i:]]
 
@@ -2068,8 +2007,8 @@ class QueryEngine:
         value v, the fraction of the match set's stored attribute <= v,
         published as rank_e6 = floor(count(val <= v) / count * 1e6 + 0.5)
         (inclusive CDF — percent_rank of the value, the inverse of
-        field_percentile).  One pass per shard: the match-set values
-        never leave their shards, only a len(values)-sized count vector
+        field_percentile).  One pass per engine: the match-set values
+        never leave their serving actor, only a len(values)-sized count vector
         merges."""
         all_terms = query_terms(text)
         terms = [t for t in all_terms if self.global_df(t) > 0]
@@ -2084,21 +2023,12 @@ class QueryEngine:
         le = np.zeros(len(probes), dtype=object)
         total = 0
         parr = np.asarray(probes, dtype=np.int64)
-        for si in range(len(self._shard_dirs)):
-            r = self._reader(si)
-            if len(r.docids) == 0:
-                continue
-            vals = self._doc_attrs(si).get(field)
+        if len(self._reader().docids):
+            vals = self._doc_attrs().get(field)
             if vals is None:
                 raise ValueError(f"index docstore has no '{field}' column")
-            hit = self._shard_match_mask(si, terms, need)
-            if hit is None:
-                continue
-            hit &= vals != sentinel
-            v = np.sort(vals[hit])
-            if not len(v):
-                continue
-            total += int(len(v))
+            v = np.sort(vals[self._match_mask(terms, need) & (vals != sentinel)])
+            total = int(len(v))
             le += np.searchsorted(v, parr, side="right")
         out = []
         for v, c in zip(probes, le):
@@ -2194,49 +2124,48 @@ class QueryEngine:
             return []
         idfs = {t: bm25_idf(self.n_docs, self.global_df(t)) for t in terms}
         scores: dict[int, float] = {}
-        for si in range(len(self._shard_dirs)):
-            r = self._reader(si)
-            dec: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-            cand_parts: list[np.ndarray] = []
-            for t in terms:
-                ti = r.term_index(t)
-                if ti is None:
-                    continue
-                d_arr, tf_arr = r.postings(ti)
-                if len(d_arr) == 0:
-                    continue
-                dec[t] = (d_arr, tf_arr)
-                flat, offs = r.positions(ti, tf_arr)
-                firsts = flat[offs[:len(d_arr)]]
-                sel = d_arr[firsts < first_n]
-                if len(sel):
-                    cand_parts.append(sel)
-            if not cand_parts:
+        r = self._reader()
+        dec: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        cand_parts: list[np.ndarray] = []
+        for t in terms:
+            ti = r.term_index(t)
+            if ti is None:
                 continue
-            cand = np.unique(np.concatenate(cand_parts))
-            lm = self._live_mask(si)
-            if lm is not None:
-                docids = np.asarray(r.docids)
-                cand = cand[lm[np.searchsorted(docids, cand)]]
-                if len(cand) == 0:
-                    continue
-            dls = r.doc_length(cand).astype(np.float64)
-            acc = np.zeros(len(cand), dtype=np.float64)
-            for t in terms:  # ascending-term accumulation (determinism)
-                if t not in dec:
-                    continue
-                d_arr, tf_arr = dec[t]
-                jj = np.minimum(np.searchsorted(d_arr, cand), len(d_arr) - 1)
-                ok = d_arr[jj] == cand
-                if not ok.any():
-                    continue
-                tff = tf_arr[jj].astype(np.float64)
-                denom = tff + self.k1 * (
-                    1.0 - self.b + self.b * dls / self.avgdl)
-                contrib = idfs[t] * (tff * (self.k1 + 1.0)) / denom
-                acc[ok] += contrib[ok]
-            for doc, s in zip(cand, acc):
-                scores[int(doc)] = float(s)
+            d_arr, tf_arr = r.postings(ti)
+            if len(d_arr) == 0:
+                continue
+            dec[t] = (d_arr, tf_arr)
+            flat, offs = r.positions(ti, tf_arr)
+            firsts = flat[offs[:len(d_arr)]]
+            sel = d_arr[firsts < first_n]
+            if len(sel):
+                cand_parts.append(sel)
+        if not cand_parts:
+            return []
+        cand = np.unique(np.concatenate(cand_parts))
+        lm = self._live_mask()
+        if lm is not None:
+            docids = np.asarray(r.docids)
+            cand = cand[lm[np.searchsorted(docids, cand)]]
+            if len(cand) == 0:
+                return []
+        dls = r.doc_length(cand).astype(np.float64)
+        acc = np.zeros(len(cand), dtype=np.float64)
+        for t in terms:  # ascending-term accumulation (determinism)
+            if t not in dec:
+                continue
+            d_arr, tf_arr = dec[t]
+            jj = np.minimum(np.searchsorted(d_arr, cand), len(d_arr) - 1)
+            ok = d_arr[jj] == cand
+            if not ok.any():
+                continue
+            tff = tf_arr[jj].astype(np.float64)
+            denom = tff + self.k1 * (
+                1.0 - self.b + self.b * dls / self.avgdl)
+            contrib = idfs[t] * (tff * (self.k1 + 1.0)) / denom
+            acc[ok] += contrib[ok]
+        for doc, s in zip(cand, acc):
+            scores[int(doc)] = float(s)
         return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
 
     def search_span_not(self, text: str, not_text: str, k: int = 10,
@@ -2262,95 +2191,94 @@ class QueryEngine:
         scores: dict[int, float] = {}
         from horus_ner_ray.pipelines.build_index import gather_segments
 
-        for si in range(len(self._shard_dirs)):
-            r = self._reader(si)
-            dec: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-            cand_parts: list[np.ndarray] = []
-            for t in terms:
-                ti = r.term_index(t)
-                if ti is None:
-                    continue
-                d_arr, tf_arr = r.postings(ti)
-                if len(d_arr) == 0:
-                    continue
-                dec[t] = (d_arr, tf_arr)
-                cand_parts.append(d_arr)
-            if not cand_parts:
+        r = self._reader()
+        dec: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        cand_parts: list[np.ndarray] = []
+        for t in terms:
+            ti = r.term_index(t)
+            if ti is None:
                 continue
-            cand = np.unique(np.concatenate(cand_parts))
-            lm = self._live_mask(si)
-            if lm is not None:
-                docids = np.asarray(r.docids)
-                cand = cand[lm[np.searchsorted(docids, cand)]]
-                if len(cand) == 0:
-                    continue
+            d_arr, tf_arr = r.postings(ti)
+            if len(d_arr) == 0:
+                continue
+            dec[t] = (d_arr, tf_arr)
+            cand_parts.append(d_arr)
+        if not cand_parts:
+            return []
+        cand = np.unique(np.concatenate(cand_parts))
+        lm = self._live_mask()
+        if lm is not None:
+            docids = np.asarray(r.docids)
+            cand = cand[lm[np.searchsorted(docids, cand)]]
+            if len(cand) == 0:
+                return []
 
-            def _keys(term_list, decoded_only):
-                parts = []
-                for t in term_list:
-                    if decoded_only and t in dec:
-                        d_arr, tf_arr = dec[t]
-                        ti = r.term_index(t)
-                    else:
-                        ti = r.term_index(t)
-                        if ti is None:
-                            continue
-                        d_arr, tf_arr = r.postings(ti)
-                        if len(d_arr) == 0:
-                            continue
-                    idx = np.searchsorted(d_arr, cand)
-                    idx_c = np.minimum(idx, len(d_arr) - 1)
-                    present = np.flatnonzero(d_arr[idx_c] == cand)
-                    if len(present) == 0:
+        def _keys(term_list, decoded_only):
+            parts = []
+            for t in term_list:
+                if decoded_only and t in dec:
+                    d_arr, tf_arr = dec[t]
+                    ti = r.term_index(t)
+                else:
+                    ti = r.term_index(t)
+                    if ti is None:
                         continue
-                    j_arr = idx_c[present]
-                    flat, offs = r.positions(ti, tf_arr)
-                    seg = gather_segments(flat.astype(np.int64), offs, j_arr)
-                    lens = (offs[j_arr + 1] - offs[j_arr]).astype(np.int64)
-                    cidx = np.repeat(present.astype(np.int64), lens)
-                    parts.append((cidx << np.int64(32)) | seg)
-                if not parts:
-                    return np.zeros(0, dtype=np.int64)
-                return np.unique(np.concatenate(parts))
+                    d_arr, tf_arr = r.postings(ti)
+                    if len(d_arr) == 0:
+                        continue
+                idx = np.searchsorted(d_arr, cand)
+                idx_c = np.minimum(idx, len(d_arr) - 1)
+                present = np.flatnonzero(d_arr[idx_c] == cand)
+                if len(present) == 0:
+                    continue
+                j_arr = idx_c[present]
+                flat, offs = r.positions(ti, tf_arr)
+                seg = gather_segments(flat.astype(np.int64), offs, j_arr)
+                lens = (offs[j_arr + 1] - offs[j_arr]).astype(np.int64)
+                cidx = np.repeat(present.astype(np.int64), lens)
+                parts.append((cidx << np.int64(32)) | seg)
+            if not parts:
+                return np.zeros(0, dtype=np.int64)
+            return np.unique(np.concatenate(parts))
 
-            akeys = _keys(terms, True)
-            if len(akeys) == 0:
+        akeys = _keys(terms, True)
+        if len(akeys) == 0:
+            return []
+        bkeys = _keys(nterms, False) if nterms else np.zeros(
+            0, dtype=np.int64)
+        if len(bkeys) == 0:
+            keep = np.ones(len(akeys), dtype=bool)
+        else:
+            ins = np.searchsorted(bkeys, akeys)
+            ac, ap = akeys >> np.int64(32), akeys & np.int64(0xFFFFFFFF)
+            near = np.zeros(len(akeys), dtype=bool)
+            for nb in (ins - 1, ins):  # left and right B neighbor
+                nb_c = np.clip(nb, 0, len(bkeys) - 1)
+                bc = bkeys[nb_c] >> np.int64(32)
+                bp = bkeys[nb_c] & np.int64(0xFFFFFFFF)
+                valid = (nb >= 0) & (nb < len(bkeys)) & (bc == ac)
+                near |= valid & (np.abs(bp - ap) <= dist)
+            keep = ~near
+        marr = cand[np.unique(akeys[keep] >> np.int64(32))]
+        if len(marr) == 0:
+            return []
+        dls = r.doc_length(marr).astype(np.float64)
+        acc = np.zeros(len(marr), dtype=np.float64)
+        for t in terms:  # ascending-term accumulation (determinism)
+            if t not in dec:
                 continue
-            bkeys = _keys(nterms, False) if nterms else np.zeros(
-                0, dtype=np.int64)
-            if len(bkeys) == 0:
-                keep = np.ones(len(akeys), dtype=bool)
-            else:
-                ins = np.searchsorted(bkeys, akeys)
-                ac, ap = akeys >> np.int64(32), akeys & np.int64(0xFFFFFFFF)
-                near = np.zeros(len(akeys), dtype=bool)
-                for nb in (ins - 1, ins):  # left and right B neighbor
-                    nb_c = np.clip(nb, 0, len(bkeys) - 1)
-                    bc = bkeys[nb_c] >> np.int64(32)
-                    bp = bkeys[nb_c] & np.int64(0xFFFFFFFF)
-                    valid = (nb >= 0) & (nb < len(bkeys)) & (bc == ac)
-                    near |= valid & (np.abs(bp - ap) <= dist)
-                keep = ~near
-            marr = cand[np.unique(akeys[keep] >> np.int64(32))]
-            if len(marr) == 0:
+            d_arr, tf_arr = dec[t]
+            jj = np.minimum(np.searchsorted(d_arr, marr), len(d_arr) - 1)
+            ok = d_arr[jj] == marr
+            if not ok.any():
                 continue
-            dls = r.doc_length(marr).astype(np.float64)
-            acc = np.zeros(len(marr), dtype=np.float64)
-            for t in terms:  # ascending-term accumulation (determinism)
-                if t not in dec:
-                    continue
-                d_arr, tf_arr = dec[t]
-                jj = np.minimum(np.searchsorted(d_arr, marr), len(d_arr) - 1)
-                ok = d_arr[jj] == marr
-                if not ok.any():
-                    continue
-                tff = tf_arr[jj].astype(np.float64)
-                denom = tff + self.k1 * (
-                    1.0 - self.b + self.b * dls / self.avgdl)
-                contrib = idfs[t] * (tff * (self.k1 + 1.0)) / denom
-                acc[ok] += contrib[ok]
-            for doc, s in zip(marr, acc):
-                scores[int(doc)] = float(s)
+            tff = tf_arr[jj].astype(np.float64)
+            denom = tff + self.k1 * (
+                1.0 - self.b + self.b * dls / self.avgdl)
+            contrib = idfs[t] * (tff * (self.k1 + 1.0)) / denom
+            acc[ok] += contrib[ok]
+        for doc, s in zip(marr, acc):
+            scores[int(doc)] = float(s)
         return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
 
     def _search_terms(self, terms: list[str],
@@ -2361,19 +2289,8 @@ class QueryEngine:
         if not terms:
             return []
         idfs = [bm25_idf(self.n_docs, self.global_df(t)) for t in terms]
-        docs: list[np.ndarray] = []
-        scores: list[np.ndarray] = []
-        for si in range(len(self._shard_dirs)):
-            d, s = self._score_shard_or(si, terms, idfs, k,
-                                        mask=self._live_mask(si))
-            docs.append(d)
-            scores.append(s)
-        d = np.concatenate(docs)
-        s = np.concatenate(scores)
-        if len(d) == 0:
-            return []
-        order = np.lexsort((d, -s))[:k]
-        return [(int(d[i]), float(s[i])) for i in order]
+        d, s = self._score_shard_or(terms, idfs, k, mask=self._live_mask())
+        return [(int(x), float(y)) for x, y in zip(d, s)]
 
     def more_like_this(self, doc_id: int, k: int = 10,
                        m_terms: int = 5) -> list[tuple[int, float]]:
@@ -2555,34 +2472,31 @@ class QueryEngine:
     def facet_counts(self, text: str, field: str = "role") -> dict[str, int]:
         """Facet panel: per distinct ``field`` value, how many docs match
         the query (>= 1 term, OR semantics) — over the FULL match set, not
-        the top-k.  One postings decode per (term, shard) plus the cached
-        per-shard attribute array; no scoring, no text access."""
+        the top-k.  One postings decode per term plus the cached
+        attribute array; no scoring, no text access."""
         terms = [t for t in query_terms(text) if self.global_df(t) > 0]
         out: dict[str, int] = {}
         if not terms:
             return out
-        for si in range(len(self._shard_dirs)):
-            r = self._reader(si)
-            nd = len(r.docids)
-            if nd == 0:
-                continue
-            vals = self._doc_attrs(si).get(field)
-            if vals is None:
-                raise ValueError(
-                    f"index docstore has no '{field}' column to facet on")
-            hit = np.zeros(nd, dtype=bool)
-            for t in terms:
-                ti = r.term_index(t)
-                if ti is not None:
-                    _d, _tf, li = r.postings_local(ti)
-                    hit[li] = True
-            lm = self._live_mask(si)
-            if lm is not None:
-                hit &= lm
-            u, c = np.unique(vals[hit], return_counts=True)
-            for key, n in zip(u, c):
-                out[str(key)] = out.get(str(key), 0) + int(n)
-        return out
+        r = self._reader()
+        nd = len(r.docids)
+        if nd == 0:
+            return out
+        vals = self._doc_attrs().get(field)
+        if vals is None:
+            raise ValueError(
+                f"index docstore has no '{field}' column to facet on")
+        hit = np.zeros(nd, dtype=bool)
+        for t in terms:
+            ti = r.term_index(t)
+            if ti is not None:
+                _d, _tf, li = r.postings_local(ti)
+                hit[li] = True
+        lm = self._live_mask()
+        if lm is not None:
+            hit &= lm
+        u, c = np.unique(vals[hit], return_counts=True)
+        return {str(key): int(n) for key, n in zip(u, c)}
 
     def search_boolean(self, must: str, should: str = "",
                        must_not: str = "",
@@ -2616,101 +2530,83 @@ class QueryEngine:
         union = sorted(set(must_terms) | set(should_terms))
         idfs = {t: bm25_idf(self.n_docs, self.global_df(t)) for t in union}
         excl = [t for t in query_terms(must_not) if self.global_df(t) > 0]
-        docs_out: list[np.ndarray] = []
-        scores_out: list[np.ndarray] = []
-        for si in range(len(self._shard_dirs)):
-            r = self._reader(si)
-            tis = {t: r.term_index(t) for t in union}
-            if any(tis[t] is None for t in must_terms):
-                continue
-            decoded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-            cand: np.ndarray | None = None
-            for t in must_terms:
-                decoded[t] = r.postings(tis[t])  # reused by the score loop
-                cand = decoded[t][0] if cand is None else np.intersect1d(
-                    cand, decoded[t][0], assume_unique=True)
-                if len(cand) == 0:
-                    break
-            if cand is None or len(cand) == 0:
-                continue
-            m = self._exclude_mask(si, excl) if excl else None
-            lm = self._live_mask(si)
-            if lm is not None:
-                m = lm if m is None else (m & lm)
-            if m is not None:
-                cand = cand[m[np.searchsorted(np.asarray(r.docids), cand)]]
-                if len(cand) == 0:
-                    continue
-            if msm > 0:
-                scount = np.zeros(len(cand), dtype=np.int64)
-                for t in should_terms:
-                    ti = tis[t]
-                    if ti is None:
-                        continue
-                    decoded[t] = decoded.get(t) or r.postings(ti)
-                    d_arr = decoded[t][0]
-                    pos = np.minimum(np.searchsorted(d_arr, cand),
-                                     max(len(d_arr) - 1, 0))
-                    scount += d_arr[pos] == cand
-                cand = cand[scount >= msm]
-                if len(cand) == 0:
-                    continue
-            dls = r.doc_length(cand).astype(np.float64)
-            acc = np.zeros(len(cand), dtype=np.float64)
-            for t in union:  # ascending-term accumulation (determinism)
+        r = self._reader()
+        tis = {t: r.term_index(t) for t in union}
+        if any(tis[t] is None for t in must_terms):
+            return []
+        decoded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        cand: np.ndarray | None = None
+        for t in must_terms:
+            decoded[t] = r.postings(tis[t])  # reused by the score loop
+            cand = decoded[t][0] if cand is None else np.intersect1d(
+                cand, decoded[t][0], assume_unique=True)
+            if len(cand) == 0:
+                break
+        if cand is None or len(cand) == 0:
+            return []
+        m = self._exclude_mask(excl) if excl else None
+        lm = self._live_mask()
+        if lm is not None:
+            m = lm if m is None else (m & lm)
+        if m is not None:
+            cand = cand[m[np.searchsorted(np.asarray(r.docids), cand)]]
+            if len(cand) == 0:
+                return []
+        if msm > 0:
+            scount = np.zeros(len(cand), dtype=np.int64)
+            for t in should_terms:
                 ti = tis[t]
-                if ti is None:  # absent should term in this shard
+                if ti is None:
                     continue
-                d_arr, tf_arr = decoded.get(t) or r.postings(ti)
+                decoded[t] = decoded.get(t) or r.postings(ti)
+                d_arr = decoded[t][0]
                 pos = np.minimum(np.searchsorted(d_arr, cand),
                                  max(len(d_arr) - 1, 0))
-                hit = d_arr[pos] == cand
-                if not hit.any():
-                    continue
-                tff = tf_arr[pos[hit]].astype(np.float64)
-                denom = tff + self.k1 * (
-                    1.0 - self.b + self.b * dls[hit] / self.avgdl)
-                acc[hit] += idfs[t] * (tff * (self.k1 + 1.0)) / denom
-            d, s = _topk_with_ties(cand, acc, k)
-            docs_out.append(d)
-            scores_out.append(s)
-        if not docs_out:
-            return []
-        d = np.concatenate(docs_out)
-        s = np.concatenate(scores_out)
-        order = np.lexsort((d, -s))[:k]
-        return [(int(d[i]), float(s[i])) for i in order]
+                scount += d_arr[pos] == cand
+            cand = cand[scount >= msm]
+            if len(cand) == 0:
+                return []
+        dls = r.doc_length(cand).astype(np.float64)
+        acc = np.zeros(len(cand), dtype=np.float64)
+        for t in union:  # ascending-term accumulation (determinism)
+            ti = tis[t]
+            if ti is None:  # should term absent from this segment
+                continue
+            d_arr, tf_arr = decoded.get(t) or r.postings(ti)
+            pos = np.minimum(np.searchsorted(d_arr, cand),
+                             max(len(d_arr) - 1, 0))
+            hit = d_arr[pos] == cand
+            if not hit.any():
+                continue
+            tff = tf_arr[pos[hit]].astype(np.float64)
+            denom = tff + self.k1 * (
+                1.0 - self.b + self.b * dls[hit] / self.avgdl)
+            acc[hit] += idfs[t] * (tff * (self.k1 + 1.0)) / denom
+        d, s = _topk_with_ties(cand, acc, k)
+        return [(int(x), float(y)) for x, y in zip(d, s)]
 
-    def _shard_match_mask(self, si: int, terms: list[str], need: int,
-                          role: str | None = None,
-                          tool: str | None = None) -> np.ndarray | None:
+    def _match_mask(self, terms: list[str], need: int,
+                    role: str | None = None,
+                    tool: str | None = None) -> np.ndarray:
         """Shared candidacy for the unscored set-operators (match_count,
-        search_sorted_by, field_stats): boolean hit mask over the shard's
+        search_sorted_by, field_stats): boolean hit mask over the segment's
         docids — count(present terms) >= ``need``, live-docs and optional
-        field filters applied — or None when the shard is empty or a
-        required term is absent from it.  ONE implementation so the match
-        semantics cannot drift apart across those surfaces (search_lm
-        keeps a fused loop because it accumulates scores with the same
-        decode, but follows this contract)."""
-        r = self._reader(si)
-        nd = len(r.docids)
-        if nd == 0:
-            return None
-        cnt = np.zeros(nd, dtype=np.int64)
+        field filters applied.  ONE implementation so the match semantics
+        cannot drift apart across those surfaces (search_lm keeps a fused
+        loop because it accumulates scores with the same decode, but
+        follows this contract)."""
+        r = self._reader()
+        cnt = np.zeros(len(r.docids), dtype=np.int64)
         for t in terms:
             ti = r.term_index(t)
-            if ti is None:
-                if need >= len(terms):  # conjunctive (or single-term OR):
-                    return None         # an absent term empties the shard
-                continue
-            _d, _tf, li = r.postings_local(ti)
-            cnt[li] += 1
+            if ti is not None:
+                cnt[r.postings_local(ti)[2]] += 1
         hit = cnt >= need
-        lm = self._live_mask(si)
+        lm = self._live_mask()
         if lm is not None:
             hit &= lm
         if role is not None or tool is not None:
-            hit &= self._filter_mask(si, role, tool)
+            hit &= self._filter_mask(role, tool)
         return hit
 
     def match_count(self, text: str, mode: str = "or",
@@ -2728,12 +2624,7 @@ class QueryEngine:
         if mode == "and" and len(terms) != len(all_terms):
             return 0
         need = len(terms) if mode == "and" else 1
-        total = 0
-        for si in range(len(self._shard_dirs)):
-            hit = self._shard_match_mask(si, terms, need, role, tool)
-            if hit is not None:
-                total += int(hit.sum())
-        return total
+        return int(self._match_mask(terms, need, role, tool).sum())
 
     def search_sorted_by(self, text: str, k: int = 10, field: str = "ts",
                          ascending: bool = True, mode: str = "or",
@@ -2743,9 +2634,9 @@ class QueryEngine:
         """Field-sorted retrieval (Lucene's Sort-by-field): the query's
         match set — OR: any term, AND: all terms — ordered by the stored
         integer doc attribute (``ts``, int64 microseconds) instead of
-        relevance; docs without the attribute drop out.  Per shard the
-        hit mask comes from the local postings index, the values from
-        the cached attribute array; each shard's exact local top-k by
+        relevance; docs without the attribute drop out.  Per engine the
+        hit mask comes from the segment's postings, the values from
+        the cached attribute array; each engine's exact local top-k by
         (value, doc_id) merges into the global k (doc-partitioned
         shards keep the union exact, same argument as scored search).
         Returns (doc_id, value) rows."""
@@ -2755,36 +2646,22 @@ class QueryEngine:
             return []
         need = len(terms) if mode == "and" else 1
         sentinel = np.iinfo(np.int64).min
-        docs_out: list[np.ndarray] = []
-        vals_out: list[np.ndarray] = []
-        for si in range(len(self._shard_dirs)):
-            r = self._reader(si)
-            if len(r.docids) == 0:
-                continue
-            vals = self._doc_attrs(si).get(field)
-            if vals is None:
-                raise ValueError(
-                    f"index docstore has no '{field}' column to sort on")
-            if not np.issubdtype(vals.dtype, np.integer):
-                raise ValueError(
-                    f"'{field}' is not an integer attribute — only "
-                    "integer-valued fields (ts) are sortable")
-            hit = self._shard_match_mask(si, terms, need, role, tool)
-            if hit is None:
-                continue
-            hit &= vals != sentinel  # no attribute -> not sortable -> out
-            idx = np.flatnonzero(hit)
-            if not len(idx):
-                continue
-            v = vals[idx]
-            d = np.asarray(r.docids)[idx]
-            order = np.lexsort((d, v if ascending else -v))[:k]
-            docs_out.append(d[order])
-            vals_out.append(v[order])
-        if not docs_out:
+        r = self._reader()
+        if len(r.docids) == 0:
             return []
-        d = np.concatenate(docs_out)
-        v = np.concatenate(vals_out)
+        vals = self._doc_attrs().get(field)
+        if vals is None:
+            raise ValueError(
+                f"index docstore has no '{field}' column to sort on")
+        if not np.issubdtype(vals.dtype, np.integer):
+            raise ValueError(
+                f"'{field}' is not an integer attribute — only "
+                "integer-valued fields (ts) are sortable")
+        hit = self._match_mask(terms, need, role, tool)
+        hit &= vals != sentinel  # no attribute -> not sortable -> out
+        idx = np.flatnonzero(hit)
+        v = vals[idx]
+        d = r.docids[idx]
         order = np.lexsort((d, v if ascending else -v))[:k]
         return [(int(d[i]), int(v[i])) for i in order]
 
@@ -2798,8 +2675,8 @@ class QueryEngine:
         ``recency_boost_e6`` decay over the stored ``ts`` attribute —
         newer docs rank higher, docs older than ``horizon_s`` (or with no
         timestamp) keep their pure BM25 order.  The combined key is
-        computable per shard (global stats + shard-local attrs), so each
-        shard ships its exact local top-k in the COMBINED domain and the
+        computable per engine (global stats + local attrs), so each
+        serving actor ships its exact local top-k in the COMBINED domain and the
         merge stays exact — same argument as scored search.  Exact-rank
         identical to ``BruteForceBM25.search_recency`` (integer fusion on
         bitwise-equal BM25 floats)."""
@@ -2811,30 +2688,20 @@ class QueryEngine:
         if not terms:
             return []
         sentinel = np.iinfo(np.int64).min
-        dd: list[np.ndarray] = []
-        ff: list[np.ndarray] = []
-        for si in range(len(self._shard_dirs)):
-            p = self._scored_match_rows(si, terms, idfs, mode, "ts")
-            if p is None:
-                continue
-            ts, d, s = p
-            e6 = np.floor(s * 1e6 + 0.5).astype(np.int64)
-            valid = ts != sentinel
-            age = np.zeros(len(ts), dtype=np.int64)
-            np.subtract(now_us, ts, out=age, where=valid)
-            age_s = np.maximum(age, 0) // 1_000_000
-            fresh = np.maximum(horizon_s - age_s, 0)
-            fresh[~valid] = 0
-            final = e6 + (boost_e6 * fresh) // horizon_s
-            order = np.lexsort((d, -final))[:k]
-            dd.append(d[order])
-            ff.append(final[order])
-        if not dd:
+        p = self._scored_match_rows(terms, idfs, mode, "ts")
+        if p is None:
             return []
-        d = np.concatenate(dd)
-        f = np.concatenate(ff)
-        order = np.lexsort((d, -f))[:k]
-        return [(int(d[i]), int(f[i])) for i in order]
+        ts, d, s = p
+        e6 = np.floor(s * 1e6 + 0.5).astype(np.int64)
+        valid = ts != sentinel
+        age = np.zeros(len(ts), dtype=np.int64)
+        np.subtract(now_us, ts, out=age, where=valid)
+        age_s = np.maximum(age, 0) // 1_000_000
+        fresh = np.maximum(horizon_s - age_s, 0)
+        fresh[~valid] = 0
+        final = e6 + (boost_e6 * fresh) // horizon_s
+        order = np.lexsort((d, -final))[:k]
+        return [(int(d[i]), int(final[i])) for i in order]
 
     def search_after(self, text: str, k: int = 10,
                      cursor: tuple[int, float] | None = None,
@@ -2859,35 +2726,23 @@ class QueryEngine:
         idfs = [bm25_idf(self.n_docs, self.global_df(t)) for t in terms]
         score_fn = (self._score_shard_or if mode == "or"
                     else self._score_shard_and)
-        docs: list[np.ndarray] = []
-        scores: list[np.ndarray] = []
-        for si in range(len(self._shard_dirs)):
-            # iterative deepening: fetch the shard's exact top-k2 and
-            # grow k2 until >= k post-cursor hits survive or the shard is
-            # exhausted — the first k post-cursor hits are ranks
-            # (r+1..r+k) for cursor rank r, all inside top-k2 once
-            # k2 - r >= k, so the page is exact at every stop.  Pages
-            # near the top (the common case) cost one ordinary top-k
-            # pass; deep pages approach one exhaustive pass.
-            nd = len(self._reader(si).docids)
-            lm = self._live_mask(si)
-            k2 = max(2 * k, 16)
-            while True:
-                d, s = score_fn(si, terms, idfs, k2, mask=lm)
-                after = (s < cs) | ((s == cs) & (d > cd))
-                if int(after.sum()) >= k or len(d) < k2 or k2 > nd:
-                    break
-                k2 *= 4
-            d, s = d[after], s[after]
-            order = np.lexsort((d, -s))[:k]
-            docs.append(d[order])
-            scores.append(s[order])
-        d = np.concatenate(docs)
-        s = np.concatenate(scores)
-        if len(d) == 0:
-            return []
-        order = np.lexsort((d, -s))[:k]
-        return [(int(d[i]), float(s[i])) for i in order]
+        # iterative deepening: fetch the exact top-k2 and grow k2 until
+        # >= k post-cursor hits survive or the match set is exhausted —
+        # the first k post-cursor hits are ranks (r+1..r+k) for cursor
+        # rank r, all inside top-k2 once k2 - r >= k, so the page is exact
+        # at every stop.  Pages near the top (the common case) cost one
+        # ordinary top-k pass; deep pages approach one exhaustive pass.
+        nd = len(self._reader().docids)
+        lm = self._live_mask()
+        k2 = max(2 * k, 16)
+        while True:
+            d, s = score_fn(terms, idfs, k2, mask=lm)
+            after = (s < cs) | ((s == cs) & (d > cd))
+            if int(after.sum()) >= k or len(d) < k2 or k2 > nd:
+                break
+            k2 *= 4
+        d, s = d[after][:k], s[after][:k]  # already ranked
+        return [(int(x), float(y)) for x, y in zip(d, s)]
 
     def explain(self, text: str, doc_id: int) -> list[dict]:
         """Score explanation (the classic engine 'explain' API): for one
@@ -2902,32 +2757,30 @@ class QueryEngine:
         if not terms:
             return out
         want = np.asarray([int(doc_id)], dtype=np.int64)
-        for si in range(len(self._shard_dirs)):
-            r = self._reader(si)
-            docids = np.asarray(r.docids)
-            j = int(np.searchsorted(docids, want[0]))
-            if j >= len(docids) or docids[j] != want[0]:
+        r = self._reader()
+        docids = np.asarray(r.docids)
+        j = int(np.searchsorted(docids, want[0]))
+        if j >= len(docids) or docids[j] != want[0]:
+            return out
+        lm = self._live_mask()
+        if lm is not None and not lm[j]:
+            return []  # tombstoned doc: no score to explain
+        dl = float(r.dl[j])
+        for t in terms:
+            ti = r.term_index(t)
+            if ti is None:
                 continue
-            lm = self._live_mask(si)
-            if lm is not None and not lm[j]:
-                return []  # tombstoned doc: no score to explain
-            dl = float(r.dl[j])
-            for t in terms:
-                ti = r.term_index(t)
-                if ti is None:
-                    continue
-                d_arr, tf_arr = r.postings(ti)
-                p = int(np.searchsorted(d_arr, want[0]))
-                if p >= len(d_arr) or d_arr[p] != want[0]:
-                    continue
-                tf = float(tf_arr[p])
-                idf = bm25_idf(self.n_docs, self.global_df(t))
-                contrib = idf * (tf * (self.k1 + 1.0)) / (
-                    tf + self.k1 * (1.0 - self.b + self.b * dl / self.avgdl))
-                out.append({"term": t, "tf": int(tf),
-                            "df": self.global_df(t), "dl": int(dl),
-                            "idf": idf, "contribution": contrib})
-            break
+            d_arr, tf_arr = r.postings(ti)
+            p = int(np.searchsorted(d_arr, want[0]))
+            if p >= len(d_arr) or d_arr[p] != want[0]:
+                continue
+            tf = float(tf_arr[p])
+            idf = bm25_idf(self.n_docs, self.global_df(t))
+            contrib = idf * (tf * (self.k1 + 1.0)) / (
+                tf + self.k1 * (1.0 - self.b + self.b * dl / self.avgdl))
+            out.append({"term": t, "tf": int(tf),
+                        "df": self.global_df(t), "dl": int(dl),
+                        "idf": idf, "contribution": contrib})
         return out
 
     def auto_date_histogram(self, text: str, target_buckets: int = 20
@@ -2951,8 +2804,8 @@ class QueryEngine:
         of matching docs in that bucket — the classic search-engine
         date-histogram aggregation (default interval one day).  Docs
         without a stored timestamp are omitted.  Same access pattern as
-        facet_counts: one postings decode per (term, shard) plus the
-        cached per-shard attribute array; no scoring, no text."""
+        facet_counts: one postings decode per term plus the cached
+        attribute array; no scoring, no text."""
         if interval_us <= 0:
             raise ValueError("interval_us must be positive")
         terms = [t for t in query_terms(text) if self.global_df(t) > 0]
@@ -2960,39 +2813,38 @@ class QueryEngine:
         if not terms:
             return out
         sentinel = np.iinfo(np.int64).min
-        for si in range(len(self._shard_dirs)):
-            r = self._reader(si)
-            nd = len(r.docids)
-            if nd == 0:
-                continue
-            ts = self._doc_attrs(si).get("ts")
-            if ts is None:
-                raise ValueError(
-                    "index docstore has no 'ts' column for date_histogram")
-            hit = np.zeros(nd, dtype=bool)
-            for t in terms:
-                ti = r.term_index(t)
-                if ti is not None:
-                    _d, _tf, li = r.postings_local(ti)
-                    hit[li] = True
-            lm = self._live_mask(si)
-            if lm is not None:
-                hit &= lm
-            hts = ts[hit]
-            hts = hts[hts != sentinel]  # null-ts docs are omitted
-            # floor division toward -inf (negative epochs bucket correctly)
-            buckets, counts = np.unique(
-                np.floor_divide(hts, interval_us), return_counts=True)
-            for b, c in zip(buckets, counts):
-                out[int(b)] = out.get(int(b), 0) + int(c)
+        r = self._reader()
+        nd = len(r.docids)
+        if nd == 0:
+            return out
+        ts = self._doc_attrs().get("ts")
+        if ts is None:
+            raise ValueError(
+                "index docstore has no 'ts' column for date_histogram")
+        hit = np.zeros(nd, dtype=bool)
+        for t in terms:
+            ti = r.term_index(t)
+            if ti is not None:
+                _d, _tf, li = r.postings_local(ti)
+                hit[li] = True
+        lm = self._live_mask()
+        if lm is not None:
+            hit &= lm
+        hts = ts[hit]
+        hts = hts[hts != sentinel]  # null-ts docs are omitted
+        # floor division toward -inf (negative epochs bucket correctly)
+        buckets, counts = np.unique(
+            np.floor_divide(hts, interval_us), return_counts=True)
+        for b, c in zip(buckets, counts):
+            out[int(b)] = out.get(int(b), 0) + int(c)
         return out
 
-    def _include_mask(self, si: int, terms: list[str]) -> np.ndarray | None:
+    def _include_mask(self, terms: list[str]) -> np.ndarray | None:
         """Local-index bool mask that is True for every doc containing ANY
         of ``terms`` (the candidacy half of CommonTermsQuery): one
         postings decode per term.  None when no term exists in this
         shard (nothing can qualify)."""
-        r = self._reader(si)
+        r = self._reader()
         mask: np.ndarray | None = None
         for t in terms:
             ti = r.term_index(t)
@@ -3023,37 +2875,23 @@ class QueryEngine:
         low = [t for t in terms
                if self.global_df(t) * 100 < int(cutoff_pct) * self.n_docs]
         idfs = [bm25_idf(self.n_docs, self.global_df(t)) for t in terms]
-        docs_out: list[np.ndarray] = []
-        scores_out: list[np.ndarray] = []
-        for si in range(len(self._shard_dirs)):
-            ds_ = self._shard_scores_full(si, terms, idfs, "or")
-            if ds_ is None:
-                continue
-            d, s = ds_
-            if low:
-                inc = self._include_mask(si, low)
-                if inc is None:
-                    continue
-                r = self._reader(si)
-                li = np.searchsorted(np.asarray(r.docids), d)
-                keep = inc[li]
-                d, s = d[keep], s[keep]
-            docs_out.append(d)
-            scores_out.append(s)
-        if not docs_out:
+        ds_ = self._full_scores(terms, idfs, "or")
+        if ds_ is None:
             return []
-        d = np.concatenate(docs_out)
-        s = np.concatenate(scores_out)
-        if len(d) == 0:
-            return []
-        order = np.lexsort((d, -s))[:k]
-        return [(int(d[i]), float(s[i])) for i in order]
+        d, s = ds_
+        if low:
+            inc = self._include_mask(low)
+            if inc is None:
+                return []
+            keep = inc[np.searchsorted(self._reader().docids, d)]
+            d, s = d[keep], s[keep]
+        return [(int(x), float(y)) for x, y in zip(d[:k], s[:k])]  # ranked
 
-    def _exclude_mask(self, si: int, terms: list[str]) -> np.ndarray | None:
+    def _exclude_mask(self, terms: list[str]) -> np.ndarray | None:
         """Local-index bool mask that is False for every doc containing ANY
         of ``terms`` (boolean NOT): one postings decode per excluded term,
-        no text access.  None when no excluded term exists in this shard."""
-        r = self._reader(si)
+        no text access.  None when no excluded term exists in this segment."""
+        r = self._reader()
         mask: np.ndarray | None = None
         for t in terms:
             ti = r.term_index(t)
@@ -3065,49 +2903,42 @@ class QueryEngine:
             mask[li] = False
         return mask
 
-    def _reader(self, si: int) -> ShardReader:
-        r = self._readers.get(si)
-        if r is None:
-            r = self._readers[si] = ShardReader(
-                self._shard_dirs[si], cache_postings=self._cache_per_reader
-            )
-        return r
+    def _reader(self) -> ShardReader:
+        """The engine's segment, folded from its shards on first use, with
+        the live-docs mask (False at tombstoned docs, None when no
+        tombstone touches it) computed once beside it."""
+        if self._seg is None:
+            seg = ShardReader(self._shard_dirs, cache_postings=self._cache_postings)
+            if self._deleted is not None:
+                from horus_ner_ray.pipelines.delete import _isin_sorted
 
-    def _live_mask(self, si: int) -> np.ndarray | None:
-        """Per-shard live-docs mask (False at tombstoned docs), or None
-        when no tombstone touches this shard.  One searchsorted per
-        (engine, shard), cached — A7 state like the attr arrays."""
-        if self._deleted is None:
-            return None
-        if si in self._live_cache:
-            return self._live_cache[si]
-        from horus_ner_ray.pipelines.delete import _isin_sorted
+                hit = _isin_sorted(seg.docids, self._deleted)
+                self._live = ~hit if hit.any() else None
+            self._seg = seg
+        return self._seg
 
-        hit = _isin_sorted(np.asarray(self._reader(si).docids), self._deleted)
-        mask = ~hit if hit.any() else None
-        self._live_cache[si] = mask
-        return mask
+    def _live_mask(self) -> np.ndarray | None:
+        self._reader()
+        return self._live
 
     # -- field/channel scoping (role=/tool= filters) ------------------------
     #
     # The reference keeps two evidence channels per term (text + image
     # posting tables, horus0.1.5.db.sql:59-109); here the docstore's stored
     # metadata columns become query-time doc filters.  Attribute arrays load
-    # once per (engine, shard) — A7 state, aligned to the shard's docids —
+    # once per engine — A7 state, aligned to the segment's docids —
     # via a doc_id-range-pruned docstore read (rank-mode parts are
     # doc-sorted, so row-group statistics skip unrelated fragments).
 
     ATTR_COLUMNS = ("role", "tool", "ts", "conv_id")
 
-    def _doc_attrs(self, si: int) -> dict[str, np.ndarray]:
-        a = self._attr_cache.get(si)
-        if a is not None:
-            return a
+    def _doc_attrs(self) -> dict[str, np.ndarray]:
+        if self._attrs is not None:
+            return self._attrs
         import pyarrow.compute as pacompute
         import pyarrow.dataset as pads
 
-        r = self._reader(si)
-        docids = np.asarray(r.docids)
+        docids = self._reader().docids
         files = sorted(str(p) for p in self.paths.docstore.glob("part-*.parquet"))
         out: dict[str, np.ndarray] = {}
         if files and len(docids):
@@ -3139,7 +2970,7 @@ class QueryEngine:
                         arr[pos_c[ok]] = np.asarray(
                             pacompute.fill_null(t[c], ""), dtype=object)[ok]
                     out[c] = arr
-        self._attr_cache[si] = out
+        self._attrs = out
         return out
 
     @staticmethod
@@ -3150,11 +2981,10 @@ class QueryEngine:
             return int(x)
         return int(np.datetime64(x).astype("datetime64[us]").astype(np.int64))
 
-    def _filter_mask(self, si: int, role: str | None, tool: str | None,
+    def _filter_mask(self, role: str | None, tool: str | None,
                      ts_min=None, ts_max=None) -> np.ndarray:
-        attrs = self._doc_attrs(si)
-        r = self._reader(si)
-        mask = np.ones(len(r.docids), dtype=bool)
+        attrs = self._doc_attrs()
+        mask = np.ones(len(self._reader().docids), dtype=bool)
         for name, want in (("role", role), ("tool", tool)):
             if want is not None:
                 col = attrs.get(name)
@@ -3173,17 +3003,14 @@ class QueryEngine:
                 mask &= ts <= self._ts_us(ts_max)
         return mask
 
-    def _weight_vec(self, si: int,
-                    role_weights: dict[str, float]) -> np.ndarray:
+    def _weight_vec(self, role_weights: dict[str, float]) -> np.ndarray:
         """Per-doc score multipliers from the role column (field-weighted
         BM25): weight applied ONCE per doc after accumulation."""
-        attrs = self._doc_attrs(si)
-        roles = attrs.get("role")
+        roles = self._doc_attrs().get("role")
         if roles is None:
             raise ValueError(
                 "index docstore has no 'role' column for role_weights")
-        r = self._reader(si)
-        w = np.ones(len(r.docids), dtype=np.float64)
+        w = np.ones(len(self._reader().docids), dtype=np.float64)
         for name, wt in role_weights.items():
             w[roles == name] = float(wt)
         return w
@@ -3191,13 +3018,14 @@ class QueryEngine:
     # -- OR (disjunctive) scoring: vectorized term-at-a-time ---------------
 
     def _score_shard_or(
-        self, si: int, terms: list[str], idfs: list[float], k: int,
+        self, terms: list[str], idfs: list[float], k: int,
         mask: np.ndarray | None = None, wvec: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact TAAT in ascending-term order (oracle accumulation order);
-        ``mask`` (local-index bool) drops docs BEFORE top-k selection;
-        ``wvec`` multiplies each doc's accumulated score once."""
-        r = self._reader(si)
+        """Exact TAAT over the segment in ascending-term order (oracle
+        accumulation order); ``mask`` (local-index bool) drops docs BEFORE
+        top-k selection; ``wvec`` multiplies each doc's accumulated score
+        once.  Returns the top-k (docs, scores), ranked."""
+        r = self._reader()
         nd = len(r.docids)
         tis = [r.term_index(t) for t in terms]
         if nd == 0 or all(ti is None for ti in tis):
@@ -3226,26 +3054,28 @@ class QueryEngine:
     # -- AND (conjunctive) with block skipping -----------------------------
 
     def _score_shard_and(
-        self, si: int, terms: list[str], idfs: list[float], k: int,
+        self, terms: list[str], idfs: list[float], k: int,
         mask: np.ndarray | None = None, wvec: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        r = self._reader(si)
+        """Conjunctive scoring over the segment: the rarest term's list
+        (through the postings cache) drives block skipping in the others."""
+        r = self._reader()
         tis = []
         for t in terms:
             ti = r.term_index(t)
-            if ti is None:  # term absent in this shard -> empty intersection
+            if ti is None:  # term absent in this segment -> empty intersection
                 return np.zeros(0, dtype=np.int64), np.zeros(0)
             tis.append(ti)
-        # process in ascending local-df order; rarest term drives skipping
+        # process in ascending segment-df order; rarest term drives skipping
         order = np.argsort([r.df[ti] for ti in tis], kind="stable")
         decoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         first = tis[order[0]]
-        cand, _tf = r.postings(first)
-        decoded[first] = (cand, _tf)
-        if mask is not None and len(cand):
+        cand, tf0, li0 = r.postings_local(first)
+        decoded[first] = (cand, tf0)
+        if mask is not None:
             # filter candidates up front: the intersection only shrinks, so
             # block skipping over the filtered candidate set stays exact
-            cand = cand[mask[np.searchsorted(np.asarray(r.docids), cand)]]
+            cand = cand[mask[li0]]
         for oi in order[1:]:
             ti = tis[oi]
             if len(cand) == 0:
@@ -3264,14 +3094,14 @@ class QueryEngine:
             denom = tff + self.k1 * (1.0 - self.b + self.b * dls / self.avgdl)
             acc += idf * (tff * (self.k1 + 1.0)) / denom
         if wvec is not None:
-            acc = acc * wvec[np.searchsorted(np.asarray(r.docids), cand)]
+            acc = acc * wvec[np.searchsorted(r.docids, cand)]
         return _topk_with_ties(cand, acc, k)
 
     def search_phrase(self, text: str, k: int = 10, role: str | None = None,
                       tool: str | None = None,
                       slop: int = 0) -> list[tuple[int, float]]:
         """Exact phrase match via position-list adjacency: candidates from
-        full posting intersection per shard, then per-candidate positional
+        full posting intersection over the segment, then per-candidate positional
         verify (P_0 ∩ (P_1 - 1) ∩ ... nonempty); matches scored by standard
         BM25 over member terms.  Reference analogue: NP-compound chunking
         (SURVEY.md M6) — multi-token units as adjacent position lists.
@@ -3294,66 +3124,65 @@ class QueryEngine:
         idfs = {t: bm25_idf(self.n_docs, self.global_df(t)) for t in uniq}
         filtered = role is not None or tool is not None
         scores: dict[int, float] = {}
-        for si in range(len(self._shard_dirs)):
-            r = self._reader(si)
-            tis = {t: r.term_index(t) for t in uniq}
-            if any(v is None for v in tis.values()):
-                continue
-            dec = {t: r.postings(ti) for t, ti in tis.items()}
-            cand: np.ndarray | None = None
-            for t in uniq:
-                cand = dec[t][0] if cand is None else np.intersect1d(
-                    cand, dec[t][0], assume_unique=True
-                )
-                if len(cand) == 0:
-                    break
-            if cand is None or len(cand) == 0:
-                continue
-            m = self._filter_mask(si, role, tool) if filtered else None
-            lm = self._live_mask(si)
-            if lm is not None:
-                m = lm if m is None else (m & lm)
-            if m is not None:
-                cand = cand[m[np.searchsorted(np.asarray(r.docids), cand)]]
-                if len(cand) == 0:
-                    continue
-            pos = {t: r.positions(tis[t], dec[t][1]) for t in uniq}
-            # vectorized adjacency across ALL candidates at once: encode
-            # each term occurrence as (candidate_index << 32) | (pos - off)
-            # and intersect the sorted key sets term-by-term — the phrase
-            # matches doc c at start p iff key (c, p) survives every term.
-            # (candidate_index, not doc_id, keys the composite so hash-mode
-            # 62-bit doc ids can't overflow the int64 pack.)
-            from horus_ner_ray.pipelines.build_index import gather_segments
+        r = self._reader()
+        tis = {t: r.term_index(t) for t in uniq}
+        if any(v is None for v in tis.values()):
+            return []
+        dec = {t: r.postings(ti) for t, ti in tis.items()}
+        cand: np.ndarray | None = None
+        for t in uniq:
+            cand = dec[t][0] if cand is None else np.intersect1d(
+                cand, dec[t][0], assume_unique=True
+            )
+            if len(cand) == 0:
+                break
+        if cand is None or len(cand) == 0:
+            return []
+        m = self._filter_mask(role, tool) if filtered else None
+        lm = self._live_mask()
+        if lm is not None:
+            m = lm if m is None else (m & lm)
+        if m is not None:
+            cand = cand[m[np.searchsorted(np.asarray(r.docids), cand)]]
+            if len(cand) == 0:
+                return []
+        pos = {t: r.positions(tis[t], dec[t][1]) for t in uniq}
+        # vectorized adjacency across ALL candidates at once: encode
+        # each term occurrence as (candidate_index << 32) | (pos - off)
+        # and intersect the sorted key sets term-by-term — the phrase
+        # matches doc c at start p iff key (c, p) survives every term.
+        # (candidate_index, not doc_id, keys the composite so hash-mode
+        # 62-bit doc ids can't overflow the int64 pack.)
+        from horus_ner_ray.pipelines.build_index import gather_segments
 
-            keys: np.ndarray | None = None
-            for off, t in enumerate(phrase):
-                d_arr, tf_arr = dec[t]
-                j_arr = np.searchsorted(d_arr, cand)
-                flat, offs = pos[t]
-                seg = gather_segments(flat.astype(np.int64), offs, j_arr)
-                lens = (offs[j_arr + 1] - offs[j_arr]).astype(np.int64)
-                cidx = np.repeat(np.arange(len(cand), dtype=np.int64), lens)
-                kt = (cidx << np.int64(32)) | (seg - off)
-                kt = kt[seg >= off]  # starts before doc begin can't match
-                keys = kt if keys is None else np.intersect1d(
-                    keys, kt, assume_unique=True
-                )
-                if len(keys) == 0:
-                    break
-            if keys is None or len(keys) == 0:
-                continue
-            marr = cand[np.unique(keys >> np.int64(32))]
-            dls = r.doc_length(marr).astype(np.float64)
-            acc = np.zeros(len(marr), dtype=np.float64)
-            for t in uniq:  # ascending-term accumulation (determinism)
-                d_arr, tf_arr = dec[t]
-                jj = np.searchsorted(d_arr, marr)
-                tff = tf_arr[jj].astype(np.float64)
-                denom = tff + self.k1 * (1.0 - self.b + self.b * dls / self.avgdl)
-                acc += idfs[t] * (tff * (self.k1 + 1.0)) / denom
-            for doc, s in zip(marr, acc):
-                scores[int(doc)] = float(s)
+        keys: np.ndarray | None = None
+        for off, t in enumerate(phrase):
+            d_arr, tf_arr = dec[t]
+            j_arr = np.searchsorted(d_arr, cand)
+            flat, offs = pos[t]
+            seg = gather_segments(flat.astype(np.int64), offs, j_arr)
+            lens = (offs[j_arr + 1] - offs[j_arr]).astype(np.int64)
+            cidx = np.repeat(np.arange(len(cand), dtype=np.int64), lens)
+            kt = (cidx << np.int64(32)) | (seg - off)
+            kt = kt[seg >= off]  # starts before doc begin can't match
+            keys = kt if keys is None else np.intersect1d(
+                keys, kt, assume_unique=True
+            )
+            if len(keys) == 0:
+                break
+        if keys is None or len(keys) == 0:
+            return []
+        marr = cand[np.unique(keys >> np.int64(32))]
+        dls = r.doc_length(marr).astype(np.float64)
+        acc = np.zeros(len(marr), dtype=np.float64)
+        for t in uniq:  # ascending-term accumulation (determinism)
+            d_arr, tf_arr = dec[t]
+            jj = np.searchsorted(d_arr, marr)
+            tff = tf_arr[jj].astype(np.float64)
+            denom = tff + self.k1 * (1.0 - self.b + self.b * dls / self.avgdl)
+            acc += idfs[t] * (tff * (self.k1 + 1.0)) / denom
+        for doc, s in zip(marr, acc):
+            scores[int(doc)] = float(s)
         return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
 
     def _search_phrase_slop(self, text: str, k: int, role: str | None,
@@ -3384,79 +3213,78 @@ class QueryEngine:
         n = len(phrase)
         filtered = role is not None or tool is not None
         scores: dict[int, float] = {}
-        for si in range(len(self._shard_dirs)):
-            r = self._reader(si)
-            tis = {t: r.term_index(t) for t in phrase}
-            if any(v is None for v in tis.values()):
+        r = self._reader()
+        tis = {t: r.term_index(t) for t in phrase}
+        if any(v is None for v in tis.values()):
+            return []
+        dec = {t: r.postings(ti) for t, ti in tis.items()}
+        cand: np.ndarray | None = None
+        for t in uniq:
+            cand = dec[t][0] if cand is None else np.intersect1d(
+                cand, dec[t][0], assume_unique=True)
+            if len(cand) == 0:
+                break
+        if cand is None or len(cand) == 0:
+            return []
+        m = self._filter_mask(role, tool) if filtered else None
+        lm = self._live_mask()
+        if lm is not None:
+            m = lm if m is None else (m & lm)
+        if m is not None:
+            cand = cand[m[np.searchsorted(np.asarray(r.docids), cand)]]
+            if len(cand) == 0:
+                return []
+        keys_f: tuple[np.ndarray, np.ndarray] | None = None
+        for li, t in enumerate(phrase):
+            d_arr, tf_arr = dec[t]
+            flat, offs = r.positions(tis[t], tf_arr)
+            j_arr = np.searchsorted(d_arr, cand)
+            seg = gather_segments(flat.astype(np.int64), offs, j_arr)
+            lens = (offs[j_arr + 1] - offs[j_arr]).astype(np.int64)
+            cidx = np.repeat(np.arange(len(cand), dtype=np.int64), lens)
+            key = (cidx << np.int64(32)) | seg
+            if li == 0:
+                keys_f = (key, seg)  # chain start = own position
                 continue
-            dec = {t: r.postings(ti) for t, ti in tis.items()}
-            cand: np.ndarray | None = None
-            for t in uniq:
-                cand = dec[t][0] if cand is None else np.intersect1d(
-                    cand, dec[t][0], assume_unique=True)
-                if len(cand) == 0:
-                    break
-            if cand is None or len(cand) == 0:
-                continue
-            m = self._filter_mask(si, role, tool) if filtered else None
-            lm = self._live_mask(si)
-            if lm is not None:
-                m = lm if m is None else (m & lm)
-            if m is not None:
-                cand = cand[m[np.searchsorted(np.asarray(r.docids), cand)]]
-                if len(cand) == 0:
-                    continue
-            keys_f: tuple[np.ndarray, np.ndarray] | None = None
-            for li, t in enumerate(phrase):
-                d_arr, tf_arr = dec[t]
-                flat, offs = r.positions(tis[t], tf_arr)
-                j_arr = np.searchsorted(d_arr, cand)
-                seg = gather_segments(flat.astype(np.int64), offs, j_arr)
-                lens = (offs[j_arr + 1] - offs[j_arr]).astype(np.int64)
-                cidx = np.repeat(np.arange(len(cand), dtype=np.int64), lens)
-                key = (cidx << np.int64(32)) | seg
-                if li == 0:
-                    keys_f = (key, seg)  # chain start = own position
-                    continue
-                prev_key, prev_f = keys_f
-                idx = np.searchsorted(prev_key, key) - 1
-                idx_c = np.maximum(idx, 0)
-                ok = (idx >= 0) & ((prev_key[idx_c] >> np.int64(32))
-                                   == (key >> np.int64(32)))
-                keys_f = (key[ok], prev_f[idx_c][ok])
-                if len(keys_f[0]) == 0:
-                    break
-            key, f = keys_f if keys_f is not None else (np.zeros(0, np.int64),) * 2
-            if len(key) == 0:
-                continue
-            stretch = (key & np.int64(0xFFFFFFFF)) - f - np.int64(n - 1)
-            best = np.full(len(cand), np.iinfo(np.int64).max, dtype=np.int64)
-            np.minimum.at(best, key >> np.int64(32), stretch)
-            marr = cand[best <= slop]
-            if len(marr) == 0:
-                continue
-            dls = r.doc_length(marr).astype(np.float64)
-            acc = np.zeros(len(marr), dtype=np.float64)
-            for t in uniq:  # ascending-term accumulation (determinism)
-                d_arr, tf_arr = dec[t]
-                jj = np.searchsorted(d_arr, marr)
-                tff = tf_arr[jj].astype(np.float64)
-                denom = tff + self.k1 * (1.0 - self.b + self.b * dls / self.avgdl)
-                acc += idfs[t] * (tff * (self.k1 + 1.0)) / denom
-            for doc, s in zip(marr, acc):
-                scores[int(doc)] = float(s)
+            prev_key, prev_f = keys_f
+            idx = np.searchsorted(prev_key, key) - 1
+            idx_c = np.maximum(idx, 0)
+            ok = (idx >= 0) & ((prev_key[idx_c] >> np.int64(32))
+                               == (key >> np.int64(32)))
+            keys_f = (key[ok], prev_f[idx_c][ok])
+            if len(keys_f[0]) == 0:
+                break
+        key, f = keys_f if keys_f is not None else (np.zeros(0, np.int64),) * 2
+        if len(key) == 0:
+            return []
+        stretch = (key & np.int64(0xFFFFFFFF)) - f - np.int64(n - 1)
+        best = np.full(len(cand), np.iinfo(np.int64).max, dtype=np.int64)
+        np.minimum.at(best, key >> np.int64(32), stretch)
+        marr = cand[best <= slop]
+        if len(marr) == 0:
+            return []
+        dls = r.doc_length(marr).astype(np.float64)
+        acc = np.zeros(len(marr), dtype=np.float64)
+        for t in uniq:  # ascending-term accumulation (determinism)
+            d_arr, tf_arr = dec[t]
+            jj = np.searchsorted(d_arr, marr)
+            tff = tf_arr[jj].astype(np.float64)
+            denom = tff + self.k1 * (1.0 - self.b + self.b * dls / self.avgdl)
+            acc += idfs[t] * (tff * (self.k1 + 1.0)) / denom
+        for doc, s in zip(marr, acc):
+            scores[int(doc)] = float(s)
         return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
 
-    def _phrase_docs(self, si: int, phrase: list[str],
+    def _phrase_docs(self, phrase: list[str],
                      cand: np.ndarray | None = None) -> np.ndarray:
-        """Shard ``si``'s doc ids matching the exact-adjacency phrase
+        """The segment's doc ids matching the exact-adjacency phrase
         (the ``search_phrase`` positional verify as a set primitive),
         optionally restricted to a sorted candidate subset.  No live/field
         masks here — callers own them.  Requires cfg.with_positions."""
         from horus_ner_ray.pipelines.build_index import gather_segments
 
         empty = np.zeros(0, dtype=np.int64)
-        r = self._reader(si)
+        r = self._reader()
         uniq = sorted(set(phrase))
         tis = {t: r.term_index(t) for t in uniq}
         if any(v is None for v in tis.values()):
@@ -3518,88 +3346,78 @@ class QueryEngine:
         idfs = {t: bm25_idf(self.n_docs, self.global_df(t)) for t in union}
         excl = [t for t in mnot if self.global_df(t) > 0]
         filtered = role is not None or tool is not None
-        docs_out: list[np.ndarray] = []
-        scores_out: list[np.ndarray] = []
-        for si in range(len(self._shard_dirs)):
-            r = self._reader(si)
-            if len(r.docids) == 0:
-                continue
-            tis = {t: r.term_index(t) for t in union}
-            if any(tis[t] is None for t in must):
-                continue
-            decoded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-            cand: np.ndarray | None = None
-            for t in must:
-                decoded[t] = r.postings(tis[t])
-                cand = decoded[t][0] if cand is None else np.intersect1d(
-                    cand, decoded[t][0], assume_unique=True)
-                if len(cand) == 0:
-                    break
-            if cand is not None and len(cand) == 0:
-                continue
-            for ph in phrases:
-                cand = self._phrase_docs(si, ph, cand=cand)
-                if len(cand) == 0:
-                    break
-            if cand is not None and len(cand) == 0:
-                continue
-            if cand is None:  # pure-SHOULD query: OR candidacy
-                parts = []
-                for t in should:
-                    if tis[t] is None:
-                        continue
-                    decoded[t] = r.postings(tis[t])
-                    parts.append(decoded[t][0])
-                if not parts:
-                    continue
-                cand = np.unique(np.concatenate(parts))
-            m = self._filter_mask(si, role, tool) if filtered else None
-            if excl:
-                em = self._exclude_mask(si, excl)
-                if em is not None:
-                    m = em if m is None else (m & em)
-            lm = self._live_mask(si)
-            if lm is not None:
-                m = lm if m is None else (m & lm)
-            if m is not None:
-                cand = cand[m[np.searchsorted(np.asarray(r.docids), cand)]]
-                if len(cand) == 0:
-                    continue
-            for ph in nphrases:
-                bad = self._phrase_docs(si, ph)
-                if len(bad) == 0:
-                    continue
-                j = np.minimum(np.searchsorted(bad, cand), len(bad) - 1)
-                cand = cand[bad[j] != cand]
-                if len(cand) == 0:
-                    break
-            if len(cand) == 0:
-                continue
-            dls = r.doc_length(cand).astype(np.float64)
-            acc = np.zeros(len(cand), dtype=np.float64)
-            for t in union:  # ascending-term accumulation (determinism)
-                ti = tis[t]
-                if ti is None:
-                    continue
-                d_arr, tf_arr = decoded.get(t) or r.postings(ti)
-                pos = np.minimum(np.searchsorted(d_arr, cand),
-                                 max(len(d_arr) - 1, 0))
-                hit = d_arr[pos] == cand
-                if not hit.any():
-                    continue
-                tff = tf_arr[pos[hit]].astype(np.float64)
-                denom = tff + self.k1 * (
-                    1.0 - self.b + self.b * dls[hit] / self.avgdl)
-                acc[hit] += idfs[t] * (tff * (self.k1 + 1.0)) / denom
-            d, s = _topk_with_ties(cand, acc, k)
-            docs_out.append(d)
-            scores_out.append(s)
-        if not docs_out:
+        r = self._reader()
+        if len(r.docids) == 0:
             return []
-        d = np.concatenate(docs_out)
-        s = np.concatenate(scores_out)
-        order = np.lexsort((d, -s))[:k]
-        return [(int(d[i]), float(s[i])) for i in order]
+        tis = {t: r.term_index(t) for t in union}
+        if any(tis[t] is None for t in must):
+            return []
+        decoded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        cand: np.ndarray | None = None
+        for t in must:
+            decoded[t] = r.postings(tis[t])
+            cand = decoded[t][0] if cand is None else np.intersect1d(
+                cand, decoded[t][0], assume_unique=True)
+            if len(cand) == 0:
+                break
+        if cand is not None and len(cand) == 0:
+            return []
+        for ph in phrases:
+            cand = self._phrase_docs(ph, cand=cand)
+            if len(cand) == 0:
+                break
+        if cand is not None and len(cand) == 0:
+            return []
+        if cand is None:  # pure-SHOULD query: OR candidacy
+            parts = []
+            for t in should:
+                if tis[t] is None:
+                    continue
+                decoded[t] = r.postings(tis[t])
+                parts.append(decoded[t][0])
+            if not parts:
+                return []
+            cand = np.unique(np.concatenate(parts))
+        m = self._filter_mask(role, tool) if filtered else None
+        if excl:
+            em = self._exclude_mask(excl)
+            if em is not None:
+                m = em if m is None else (m & em)
+        lm = self._live_mask()
+        if lm is not None:
+            m = lm if m is None else (m & lm)
+        if m is not None:
+            cand = cand[m[np.searchsorted(np.asarray(r.docids), cand)]]
+            if len(cand) == 0:
+                return []
+        for ph in nphrases:
+            bad = self._phrase_docs(ph)
+            if len(bad) == 0:
+                continue
+            j = np.minimum(np.searchsorted(bad, cand), len(bad) - 1)
+            cand = cand[bad[j] != cand]
+            if len(cand) == 0:
+                break
+        if len(cand) == 0:
+            return []
+        dls = r.doc_length(cand).astype(np.float64)
+        acc = np.zeros(len(cand), dtype=np.float64)
+        for t in union:  # ascending-term accumulation (determinism)
+            ti = tis[t]
+            if ti is None:
+                continue
+            d_arr, tf_arr = decoded.get(t) or r.postings(ti)
+            pos = np.minimum(np.searchsorted(d_arr, cand),
+                             max(len(d_arr) - 1, 0))
+            hit = d_arr[pos] == cand
+            if not hit.any():
+                continue
+            tff = tf_arr[pos[hit]].astype(np.float64)
+            denom = tff + self.k1 * (
+                1.0 - self.b + self.b * dls[hit] / self.avgdl)
+            acc[hit] += idfs[t] * (tff * (self.k1 + 1.0)) / denom
+        d, s = _topk_with_ties(cand, acc, k)
+        return [(int(x), float(y)) for x, y in zip(d, s)]
 
     def search_near(self, text: str, k: int = 10, window: int = 8,
                     role: str | None = None,
@@ -3623,62 +3441,61 @@ class QueryEngine:
         from horus_ner_ray.pipelines.build_index import gather_segments
 
         scores: dict[int, float] = {}
-        for si in range(len(self._shard_dirs)):
-            r = self._reader(si)
-            tis = {t: r.term_index(t) for t in uniq}
-            if any(v is None for v in tis.values()):
-                continue
-            dec = {t: r.postings(ti) for t, ti in tis.items()}
-            cand: np.ndarray | None = None
-            for t in uniq:
-                cand = dec[t][0] if cand is None else np.intersect1d(
-                    cand, dec[t][0], assume_unique=True)
-                if len(cand) == 0:
-                    break
-            if cand is None or len(cand) == 0:
-                continue
-            m = self._filter_mask(si, role, tool) if filtered else None
-            lm = self._live_mask(si)
-            if lm is not None:
-                m = lm if m is None else (m & lm)
-            if m is not None:
-                cand = cand[m[np.searchsorted(np.asarray(r.docids), cand)]]
-                if len(cand) == 0:
-                    continue
-            # merged (candidate, position, term-label) rows for the cover
-            # scan — flat gathers, no per-candidate decode
-            parts_c: list[np.ndarray] = []
-            parts_p: list[np.ndarray] = []
-            parts_l: list[np.ndarray] = []
-            for li, t in enumerate(uniq):
-                d_arr, tf_arr = dec[t]
-                flat, offs = r.positions(tis[t], tf_arr)
-                j_arr = np.searchsorted(d_arr, cand)
-                seg = gather_segments(flat.astype(np.int64), offs, j_arr)
-                lens = (offs[j_arr + 1] - offs[j_arr]).astype(np.int64)
-                parts_c.append(np.repeat(
-                    np.arange(len(cand), dtype=np.int64), lens))
-                parts_p.append(seg)
-                parts_l.append(np.full(len(seg), li, dtype=np.int64))
-            ci = np.concatenate(parts_c)
-            pp = np.concatenate(parts_p)
-            ll = np.concatenate(parts_l)
-            order = np.lexsort((ll, pp, ci))
-            spans = _min_cover_spans(ci[order], pp[order], ll[order],
-                                     len(uniq), len(cand))
-            marr = cand[spans <= window]
-            if len(marr) == 0:
-                continue
-            dls = r.doc_length(marr).astype(np.float64)
-            acc = np.zeros(len(marr), dtype=np.float64)
-            for t in uniq:  # ascending-term accumulation (determinism)
-                d_arr, tf_arr = dec[t]
-                jj = np.searchsorted(d_arr, marr)
-                tff = tf_arr[jj].astype(np.float64)
-                denom = tff + self.k1 * (1.0 - self.b + self.b * dls / self.avgdl)
-                acc += idfs[t] * (tff * (self.k1 + 1.0)) / denom
-            for doc, s in zip(marr, acc):
-                scores[int(doc)] = float(s)
+        r = self._reader()
+        tis = {t: r.term_index(t) for t in uniq}
+        if any(v is None for v in tis.values()):
+            return []
+        dec = {t: r.postings(ti) for t, ti in tis.items()}
+        cand: np.ndarray | None = None
+        for t in uniq:
+            cand = dec[t][0] if cand is None else np.intersect1d(
+                cand, dec[t][0], assume_unique=True)
+            if len(cand) == 0:
+                break
+        if cand is None or len(cand) == 0:
+            return []
+        m = self._filter_mask(role, tool) if filtered else None
+        lm = self._live_mask()
+        if lm is not None:
+            m = lm if m is None else (m & lm)
+        if m is not None:
+            cand = cand[m[np.searchsorted(np.asarray(r.docids), cand)]]
+            if len(cand) == 0:
+                return []
+        # merged (candidate, position, term-label) rows for the cover
+        # scan — flat gathers, no per-candidate decode
+        parts_c: list[np.ndarray] = []
+        parts_p: list[np.ndarray] = []
+        parts_l: list[np.ndarray] = []
+        for li, t in enumerate(uniq):
+            d_arr, tf_arr = dec[t]
+            flat, offs = r.positions(tis[t], tf_arr)
+            j_arr = np.searchsorted(d_arr, cand)
+            seg = gather_segments(flat.astype(np.int64), offs, j_arr)
+            lens = (offs[j_arr + 1] - offs[j_arr]).astype(np.int64)
+            parts_c.append(np.repeat(
+                np.arange(len(cand), dtype=np.int64), lens))
+            parts_p.append(seg)
+            parts_l.append(np.full(len(seg), li, dtype=np.int64))
+        ci = np.concatenate(parts_c)
+        pp = np.concatenate(parts_p)
+        ll = np.concatenate(parts_l)
+        order = np.lexsort((ll, pp, ci))
+        spans = _min_cover_spans(ci[order], pp[order], ll[order],
+                                 len(uniq), len(cand))
+        marr = cand[spans <= window]
+        if len(marr) == 0:
+            return []
+        dls = r.doc_length(marr).astype(np.float64)
+        acc = np.zeros(len(marr), dtype=np.float64)
+        for t in uniq:  # ascending-term accumulation (determinism)
+            d_arr, tf_arr = dec[t]
+            jj = np.searchsorted(d_arr, marr)
+            tff = tf_arr[jj].astype(np.float64)
+            denom = tff + self.k1 * (1.0 - self.b + self.b * dls / self.avgdl)
+            acc += idfs[t] * (tff * (self.k1 + 1.0)) / denom
+        for doc, s in zip(marr, acc):
+            scores[int(doc)] = float(s)
         return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
 
     def match_anchors(self, text: str, doc_ids) -> dict[int, int]:
@@ -3692,32 +3509,31 @@ class QueryEngine:
         out: dict[int, int] = {}
         if not terms or not len(want):
             return out
-        for si in range(len(self._shard_dirs)):
-            r = self._reader(si)
-            docids = np.asarray(r.docids)
-            if len(docids) == 0:
+        r = self._reader()
+        docids = np.asarray(r.docids)
+        if len(docids) == 0:
+            return out
+        pw = np.minimum(np.searchsorted(docids, want), len(docids) - 1)
+        here = want[docids[pw] == want]
+        if len(here) == 0:
+            return out
+        for t in terms:
+            ti = r.term_index(t)
+            if ti is None:
                 continue
-            pw = np.minimum(np.searchsorted(docids, want), len(docids) - 1)
-            here = want[docids[pw] == want]
-            if len(here) == 0:
+            d_arr, tf_arr = r.postings(ti)
+            if len(d_arr) == 0:
                 continue
-            for t in terms:
-                ti = r.term_index(t)
-                if ti is None:
-                    continue
-                d_arr, tf_arr = r.postings(ti)
-                if len(d_arr) == 0:
-                    continue
-                j = np.minimum(np.searchsorted(d_arr, here), len(d_arr) - 1)
-                ok = d_arr[j] == here
-                if not ok.any():
-                    continue
-                flat, offs = r.positions(ti, tf_arr)
-                firsts = flat[offs[j[ok]]]  # per-doc lists are ascending
-                for d, p in zip(here[ok], firsts):
-                    cur = out.get(int(d))
-                    if cur is None or int(p) < cur:
-                        out[int(d)] = int(p)
+            j = np.minimum(np.searchsorted(d_arr, here), len(d_arr) - 1)
+            ok = d_arr[j] == here
+            if not ok.any():
+                continue
+            flat, offs = r.positions(ti, tf_arr)
+            firsts = flat[offs[j[ok]]]  # per-doc lists are ascending
+            for d, p in zip(here[ok], firsts):
+                cur = out.get(int(d))
+                if cur is None or int(p) < cur:
+                    out[int(d)] = int(p)
         return out
 
     def match_positions(self, text: str, doc_ids) -> dict[int, list[int]]:
@@ -3733,33 +3549,32 @@ class QueryEngine:
         acc: dict[int, list[np.ndarray]] = {}
         if not terms or not len(want):
             return {}
-        for si in range(len(self._shard_dirs)):
-            r = self._reader(si)
-            docids = np.asarray(r.docids)
-            if len(docids) == 0:
+        r = self._reader()
+        docids = np.asarray(r.docids)
+        if len(docids) == 0:
+            return {}
+        pw = np.minimum(np.searchsorted(docids, want), len(docids) - 1)
+        here = want[docids[pw] == want]
+        if len(here) == 0:
+            return {}
+        for t in terms:
+            ti = r.term_index(t)
+            if ti is None:
                 continue
-            pw = np.minimum(np.searchsorted(docids, want), len(docids) - 1)
-            here = want[docids[pw] == want]
-            if len(here) == 0:
+            d_arr, tf_arr = r.postings(ti)
+            if len(d_arr) == 0:
                 continue
-            for t in terms:
-                ti = r.term_index(t)
-                if ti is None:
-                    continue
-                d_arr, tf_arr = r.postings(ti)
-                if len(d_arr) == 0:
-                    continue
-                j = np.minimum(np.searchsorted(d_arr, here), len(d_arr) - 1)
-                ok = d_arr[j] == here
-                if not ok.any():
-                    continue
-                flat, offs = r.positions(ti, tf_arr)
-                j_ok = j[ok]
-                seg = gather_segments(flat.astype(np.int64), offs, j_ok)
-                lens = (offs[j_ok + 1] - offs[j_ok]).astype(np.int64)
-                owners = np.repeat(here[ok], lens)
-                for d in np.unique(owners):
-                    acc.setdefault(int(d), []).append(seg[owners == d])
+            j = np.minimum(np.searchsorted(d_arr, here), len(d_arr) - 1)
+            ok = d_arr[j] == here
+            if not ok.any():
+                continue
+            flat, offs = r.positions(ti, tf_arr)
+            j_ok = j[ok]
+            seg = gather_segments(flat.astype(np.int64), offs, j_ok)
+            lens = (offs[j_ok + 1] - offs[j_ok]).astype(np.int64)
+            owners = np.repeat(here[ok], lens)
+            for d in np.unique(owners):
+                acc.setdefault(int(d), []).append(seg[owners == d])
         return {d: np.unique(np.concatenate(ps)).tolist()
                 for d, ps in acc.items()}
 
@@ -3842,59 +3657,46 @@ class QueryEngine:
         filtered = any(x is not None for x in (role, tool, ts_min, ts_max))
         excl = ([t for t in query_terms(exclude) if self.global_df(t) > 0]
                 if exclude else [])
-        docs: list[np.ndarray] = []
-        scores: list[np.ndarray] = []
-        for si in range(len(self._shard_dirs)):  # per-shard top-k heaps
-            m = (self._filter_mask(si, role, tool, ts_min, ts_max)
-                 if filtered else None)
-            if excl:
-                em = self._exclude_mask(si, excl)
-                if em is not None:
-                    m = em if m is None else (m & em)
-            lm = self._live_mask(si)
-            if lm is not None:
-                m = lm if m is None else (m & lm)
-            w = (self._weight_vec(si, role_weights)
-                 if role_weights is not None else None)
-            d, s = score_fn(si, terms, idfs, k, mask=m, wvec=w)
-            docs.append(d)
-            scores.append(s)
-        d = np.concatenate(docs)
-        s = np.concatenate(scores)
-        if len(d) == 0:
-            return []
-        order = np.lexsort((d, -s))[:k]  # (score desc, doc_id asc)
-        return [(int(d[i]), float(s[i])) for i in order]
+        m = self._filter_mask(role, tool, ts_min, ts_max) if filtered else None
+        if excl:
+            em = self._exclude_mask(excl)
+            if em is not None:
+                m = em if m is None else (m & em)
+        lm = self._live_mask()
+        if lm is not None:
+            m = lm if m is None else (m & lm)
+        w = self._weight_vec(role_weights) if role_weights is not None else None
+        d, s = score_fn(terms, idfs, k, mask=m, wvec=w)  # ranked top-k
+        return [(int(x), float(y)) for x, y in zip(d, s)]
 
-    def _scored_match_rows(self, si: int, terms: list[str],
+    def _scored_match_rows(self, terms: list[str],
                            idfs: list[float], mode: str,
                            field: str) -> tuple[np.ndarray, np.ndarray,
                                                 np.ndarray] | None:
-        """One shard's FULL match set as (field value, doc, score) arrays
-        — the grouping primitives' shared head; live docs masked before
+        """The FULL match set as (field value, doc, score) arrays — the
+        grouping primitives' shared head; live docs masked before
         anything returns."""
-        r = self._reader(si)
+        r = self._reader()
         nd = len(r.docids)
         if nd == 0:
             return None
         score_fn = (self._score_shard_or if mode == "or"
                     else self._score_shard_and)
-        d, s = score_fn(si, terms, idfs, nd, mask=self._live_mask(si))
+        d, s = score_fn(terms, idfs, nd, mask=self._live_mask())
         if len(d) == 0:
             return None
-        vals = self._doc_attrs(si).get(field)
+        vals = self._doc_attrs().get(field)
         if vals is None:
             raise ValueError(
                 f"index docstore has no {field!r} column to collapse on")
-        li = np.searchsorted(np.asarray(r.docids), d)
-        return vals[li], d, s
+        return vals[np.searchsorted(r.docids, d)], d, s
 
     @staticmethod
     def _collapse_rows(vals: np.ndarray, d: np.ndarray,
                        s: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                                                np.ndarray]:
         """Best (score desc, doc asc) row per distinct value — the
-        collapse reduction; associative, so per-shard collapse then a
+        collapse reduction; associative, so per-actor collapse then a
         merge collapse is exact."""
         uniq, codes = np.unique(vals, return_inverse=True)
         order = np.lexsort((d, -s, codes))
@@ -3909,8 +3711,8 @@ class QueryEngine:
         """Field collapsing (Lucene/ES ``collapse``): the match set keeps
         only the best-scoring doc per distinct ``field`` value, and the
         collapsed groups rank by their representative's (score desc,
-        doc_id asc).  Per shard the match set collapses BEFORE anything
-        crosses shards, so the merge is bounded by distinct values — not
+        doc_id asc).  Per engine the match set collapses BEFORE anything
+        crosses serving actors, so the merge is bounded by distinct values — not
         matches — and on a cluster each scatter member ships one row per
         value it saw.  Results are bitwise rank-identical to the
         brute-force oracle (same exhaustive ascending-term accumulation).
@@ -3921,15 +3723,10 @@ class QueryEngine:
         terms, idfs = self._or_and_terms(text, mode)
         if not terms:
             return []
-        parts = [self._scored_match_rows(si, terms, idfs, mode, field)
-                 for si in range(len(self._shard_dirs))]
-        parts = [self._collapse_rows(*p) for p in parts if p is not None]
-        if not parts:
+        p = self._scored_match_rows(terms, idfs, mode, field)
+        if p is None:
             return []
-        vals = np.concatenate([p[0] for p in parts])
-        d = np.concatenate([p[1] for p in parts])
-        s = np.concatenate([p[2] for p in parts])
-        vals, d, s = self._collapse_rows(vals, d, s)
+        vals, d, s = self._collapse_rows(*p)
         order = np.lexsort((d, -s))[:k]
         return [(str(vals[i]), int(d[i]), float(s[i])) for i in order]
 
@@ -3953,7 +3750,7 @@ class QueryEngine:
                        ) -> dict[str, list[tuple[int, float]]]:
         """Grouped top hits (ES ``terms`` aggregation + ``top_hits``):
         for every distinct ``field`` value in the match set, that group's
-        top-k docs by (score desc, doc_id asc).  Same per-shard-partial
+        top-k docs by (score desc, doc_id asc).  Same per-actor-partial
         shape as ``search_collapse`` (per-group top-k is associative);
         bitwise rank-identical to the brute-force oracle."""
         if k <= 0:
@@ -3961,16 +3758,10 @@ class QueryEngine:
         terms, idfs = self._or_and_terms(text, mode)
         if not terms:
             return {}
-        parts = [self._scored_match_rows(si, terms, idfs, mode, field)
-                 for si in range(len(self._shard_dirs))]
-        parts = [self._group_topk_rows(*p, k) for p in parts
-                 if p is not None]
-        if not parts:
+        p = self._scored_match_rows(terms, idfs, mode, field)
+        if p is None:
             return {}
-        vals = np.concatenate([p[0] for p in parts])
-        d = np.concatenate([p[1] for p in parts])
-        s = np.concatenate([p[2] for p in parts])
-        vals, d, s = self._group_topk_rows(vals, d, s, k)
+        vals, d, s = self._group_topk_rows(*p, k)
         uniq, codes = np.unique(vals, return_inverse=True)
         order = np.lexsort((d, -s, codes))
         out: dict[str, list[tuple[int, float]]] = {}
@@ -3992,18 +3783,18 @@ class QueryEngine:
         return terms, [bm25_idf(self.n_docs, self.global_df(t))
                        for t in terms]
 
-    def _shard_scores_full(self, si: int, terms: list[str],
+    def _full_scores(self, terms: list[str],
                            idfs: list[float],
                            mode: str) -> tuple[np.ndarray, np.ndarray] | None:
-        """One shard's FULL match set (doc, score), live docs masked.
+        """The FULL match set (doc, score), ranked, live docs masked.
         Shared head of the score-rewriting searches (boosting / dis_max),
         which must see every match before demotion/combination."""
-        nd = len(self._reader(si).docids)
+        nd = len(self._reader().docids)
         if nd == 0:
             return None
         score_fn = (self._score_shard_or if mode == "or"
                     else self._score_shard_and)
-        d, s = score_fn(si, terms, idfs, nd, mask=self._live_mask(si))
+        d, s = score_fn(terms, idfs, nd, mask=self._live_mask())
         if len(d) == 0:
             return None
         return d, s
@@ -4020,7 +3811,7 @@ class QueryEngine:
         postings decode per negative term (``_exclude_mask``, no text
         access), ONE multiply per demoted doc AFTER accumulation (exact
         for power-of-two boosts, the role_weights arithmetic point) —
-        then per-shard top-k, so the merge stays bounded by k."""
+        then one top-k, so a pool merge stays bounded by k."""
         if not (0.0 < float(negative_boost) <= 1.0):
             raise ValueError("negative_boost must be in (0, 1]")
         terms, idfs = self._or_and_terms(positive, mode)
@@ -4028,30 +3819,17 @@ class QueryEngine:
             return []
         neg_terms = [t for t in query_terms(negative)
                      if self.global_df(t) > 0]
-        docs: list[np.ndarray] = []
-        scores: list[np.ndarray] = []
-        for si in range(len(self._shard_dirs)):
-            p = self._shard_scores_full(si, terms, idfs, mode)
-            if p is None:
-                continue
-            d, s = p
-            if neg_terms:
-                em = self._exclude_mask(si, neg_terms)
-                if em is not None:
-                    r = self._reader(si)
-                    li = np.searchsorted(np.asarray(r.docids), d)
-                    s = np.where(~em[li], s * float(negative_boost), s)
-            d, s = _topk_with_ties(d, s, k)
-            docs.append(d)
-            scores.append(s)
-        if not docs:
+        p = self._full_scores(terms, idfs, mode)
+        if p is None:
             return []
-        d = np.concatenate(docs)
-        s = np.concatenate(scores)
-        if len(d) == 0:
-            return []
-        order = np.lexsort((d, -s))[:k]
-        return [(int(d[i]), float(s[i])) for i in order]
+        d, s = p
+        if neg_terms:
+            em = self._exclude_mask(neg_terms)
+            if em is not None:
+                li = np.searchsorted(self._reader().docids, d)
+                s = np.where(~em[li], s * float(negative_boost), s)
+        d, s = _topk_with_ties(d, s, k)
+        return [(int(x), float(y)) for x, y in zip(d, s)]
 
     def search_dismax(self, queries: list[str], k: int = 10,
                       tie_breaker: float = 0.5,
@@ -4062,42 +3840,29 @@ class QueryEngine:
         achieving the max (np.argmax's rule == the oracle's first-argmax)
         and the rest-sum accumulates in subquery-list order with an exact
         +0.0 at the max slot — bitwise-identical to the oracle's
-        skip-the-max loop.  Full match set per subquery and shard (the
-        combination reorders per-subquery top-k); per-shard top-k bounds
-        the merge."""
+        skip-the-max loop.  Full match set per subquery (the combination
+        reorders per-subquery top-k); one top-k bounds a pool merge."""
         per_terms = [self._or_and_terms(q, mode) for q in queries]
-        docs: list[np.ndarray] = []
-        scores: list[np.ndarray] = []
-        for si in range(len(self._shard_dirs)):
-            parts = [self._shard_scores_full(si, t, i, mode) if t else None
-                     for t, i in per_terms]
-            live = [p for p in parts if p is not None]
-            if not live:
+        parts = [self._full_scores(t, i, mode) if t else None
+                 for t, i in per_terms]
+        live = [p for p in parts if p is not None]
+        if not live:
+            return []
+        union = np.unique(np.concatenate([p[0] for p in live]))
+        S = np.zeros((len(queries), len(union)), dtype=np.float64)
+        for qi, p in enumerate(parts):
+            if p is None:
                 continue
-            union = np.unique(np.concatenate([p[0] for p in live]))
-            S = np.zeros((len(queries), len(union)), dtype=np.float64)
-            for qi, p in enumerate(parts):
-                if p is None:
-                    continue
-                d_i, s_i = p
-                S[qi, np.searchsorted(union, d_i)] = s_i
-            mi = np.argmax(S, axis=0)  # first max, like the oracle
-            best = S[mi, np.arange(len(union))]
-            rest = np.zeros(len(union), dtype=np.float64)
-            for qi in range(len(queries)):  # subquery-list order
-                rest += np.where(mi == qi, 0.0, S[qi])
-            comb = best + float(tie_breaker) * rest
-            d, s = _topk_with_ties(union, comb, k)
-            docs.append(d)
-            scores.append(s)
-        if not docs:
-            return []
-        d = np.concatenate(docs)
-        s = np.concatenate(scores)
-        if len(d) == 0:
-            return []
-        order = np.lexsort((d, -s))[:k]
-        return [(int(d[i]), float(s[i])) for i in order]
+            d_i, s_i = p
+            S[qi, np.searchsorted(union, d_i)] = s_i
+        mi = np.argmax(S, axis=0)  # first max, like the oracle
+        best = S[mi, np.arange(len(union))]
+        rest = np.zeros(len(union), dtype=np.float64)
+        for qi in range(len(queries)):  # subquery-list order
+            rest += np.where(mi == qi, 0.0, S[qi])
+        comb = best + float(tie_breaker) * rest
+        d, s = _topk_with_ties(union, comb, k)
+        return [(int(x), float(y)) for x, y in zip(d, s)]
 
     def search_phrase_prefix(self, text: str, k: int = 10,
                              max_expansions: int = 50
@@ -4126,80 +3891,79 @@ class QueryEngine:
         idfs = {t: bm25_idf(self.n_docs, self.global_df(t)) for t in uniq}
         off_e = np.int64(len(fixed))  # the expansion slot's offset
         scores: dict[int, float] = {}
-        for si in range(len(self._shard_dirs)):
-            r = self._reader(si)
-            tis = {t: r.term_index(t) for t in uniq}
-            if any(v is None for v in tis.values()):
-                continue
-            dec = {t: r.postings(ti) for t, ti in tis.items()}
-            cand: np.ndarray | None = None
-            for t in uniq:
-                cand = dec[t][0] if cand is None else np.intersect1d(
-                    cand, dec[t][0], assume_unique=True)
-                if len(cand) == 0:
-                    break
-            if cand is None or len(cand) == 0:
-                continue
-            lm = self._live_mask(si)
-            if lm is not None:
-                cand = cand[lm[np.searchsorted(np.asarray(r.docids), cand)]]
-                if len(cand) == 0:
-                    continue
-            keys: np.ndarray | None = None
-            for off, t in enumerate(fixed):
-                d_arr, tf_arr = dec[t]
-                j_arr = np.searchsorted(d_arr, cand)
-                flat, offs = r.positions(tis[t], tf_arr)
-                seg = gather_segments(flat.astype(np.int64), offs, j_arr)
-                lens = (offs[j_arr + 1] - offs[j_arr]).astype(np.int64)
-                cidx = np.repeat(np.arange(len(cand), dtype=np.int64), lens)
-                kt = (cidx << np.int64(32)) | (seg - off)
-                kt = kt[seg >= off]
-                keys = kt if keys is None else np.intersect1d(
-                    keys, kt, assume_unique=True)
-                if len(keys) == 0:
-                    break
-            if keys is None or len(keys) == 0:
-                continue
-            # expansion slot: UNION of (cand, start) keys over expansions
-            eparts: list[np.ndarray] = []
-            for e in exp:
-                ti = r.term_index(e)
-                if ti is None:
-                    continue
-                d_arr, tf_arr = r.postings(ti)
-                if len(d_arr) == 0:
-                    continue
-                idx = np.searchsorted(d_arr, cand)
-                idx_c = np.minimum(idx, len(d_arr) - 1)
-                present = np.flatnonzero(d_arr[idx_c] == cand)
-                if len(present) == 0:
-                    continue
-                j_arr = idx_c[present]
-                flat, offs = r.positions(ti, tf_arr)
-                seg = gather_segments(flat.astype(np.int64), offs, j_arr)
-                lens = (offs[j_arr + 1] - offs[j_arr]).astype(np.int64)
-                cidx = np.repeat(present.astype(np.int64), lens)
-                kt = (cidx << np.int64(32)) | (seg - off_e)
-                eparts.append(kt[seg >= off_e])
-            if not eparts:
-                continue
-            ekeys = np.unique(np.concatenate(eparts))
-            keys = np.intersect1d(keys, ekeys, assume_unique=True)
+        r = self._reader()
+        tis = {t: r.term_index(t) for t in uniq}
+        if any(v is None for v in tis.values()):
+            return []
+        dec = {t: r.postings(ti) for t, ti in tis.items()}
+        cand: np.ndarray | None = None
+        for t in uniq:
+            cand = dec[t][0] if cand is None else np.intersect1d(
+                cand, dec[t][0], assume_unique=True)
+            if len(cand) == 0:
+                break
+        if cand is None or len(cand) == 0:
+            return []
+        lm = self._live_mask()
+        if lm is not None:
+            cand = cand[lm[np.searchsorted(np.asarray(r.docids), cand)]]
+            if len(cand) == 0:
+                return []
+        keys: np.ndarray | None = None
+        for off, t in enumerate(fixed):
+            d_arr, tf_arr = dec[t]
+            j_arr = np.searchsorted(d_arr, cand)
+            flat, offs = r.positions(tis[t], tf_arr)
+            seg = gather_segments(flat.astype(np.int64), offs, j_arr)
+            lens = (offs[j_arr + 1] - offs[j_arr]).astype(np.int64)
+            cidx = np.repeat(np.arange(len(cand), dtype=np.int64), lens)
+            kt = (cidx << np.int64(32)) | (seg - off)
+            kt = kt[seg >= off]
+            keys = kt if keys is None else np.intersect1d(
+                keys, kt, assume_unique=True)
             if len(keys) == 0:
+                break
+        if keys is None or len(keys) == 0:
+            return []
+        # expansion slot: UNION of (cand, start) keys over expansions
+        eparts: list[np.ndarray] = []
+        for e in exp:
+            ti = r.term_index(e)
+            if ti is None:
                 continue
-            marr = cand[np.unique(keys >> np.int64(32))]
-            dls = r.doc_length(marr).astype(np.float64)
-            acc = np.zeros(len(marr), dtype=np.float64)
-            for t in uniq:  # ascending-term accumulation (determinism)
-                d_arr, tf_arr = dec[t]
-                jj = np.searchsorted(d_arr, marr)
-                tff = tf_arr[jj].astype(np.float64)
-                denom = tff + self.k1 * (1.0 - self.b
-                                         + self.b * dls / self.avgdl)
-                acc += idfs[t] * (tff * (self.k1 + 1.0)) / denom
-            for doc, sc in zip(marr, acc):
-                scores[int(doc)] = float(sc)
+            d_arr, tf_arr = r.postings(ti)
+            if len(d_arr) == 0:
+                continue
+            idx = np.searchsorted(d_arr, cand)
+            idx_c = np.minimum(idx, len(d_arr) - 1)
+            present = np.flatnonzero(d_arr[idx_c] == cand)
+            if len(present) == 0:
+                continue
+            j_arr = idx_c[present]
+            flat, offs = r.positions(ti, tf_arr)
+            seg = gather_segments(flat.astype(np.int64), offs, j_arr)
+            lens = (offs[j_arr + 1] - offs[j_arr]).astype(np.int64)
+            cidx = np.repeat(present.astype(np.int64), lens)
+            kt = (cidx << np.int64(32)) | (seg - off_e)
+            eparts.append(kt[seg >= off_e])
+        if not eparts:
+            return []
+        ekeys = np.unique(np.concatenate(eparts))
+        keys = np.intersect1d(keys, ekeys, assume_unique=True)
+        if len(keys) == 0:
+            return []
+        marr = cand[np.unique(keys >> np.int64(32))]
+        dls = r.doc_length(marr).astype(np.float64)
+        acc = np.zeros(len(marr), dtype=np.float64)
+        for t in uniq:  # ascending-term accumulation (determinism)
+            d_arr, tf_arr = dec[t]
+            jj = np.searchsorted(d_arr, marr)
+            tff = tf_arr[jj].astype(np.float64)
+            denom = tff + self.k1 * (1.0 - self.b
+                                     + self.b * dls / self.avgdl)
+            acc += idfs[t] * (tff * (self.k1 + 1.0)) / denom
+        for doc, sc in zip(marr, acc):
+            scores[int(doc)] = float(sc)
         return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
 
 
@@ -4292,10 +4056,10 @@ def topk_with_margin(hits: list[tuple[int, float]]) -> list[tuple[int, float, fl
 
 
 def _topk_with_ties(docs: np.ndarray, scores: np.ndarray, k: int):
-    """Deterministic per-shard top-k: argpartition prunes to the kth score,
-    ties at the boundary are kept, then the (small) survivor set is ordered
-    by (score desc, doc_id asc) and cut to k — so the global merge sees the
-    same k docs regardless of shard layout."""
+    """Deterministic top-k: argpartition prunes to the kth score, ties at
+    the boundary are kept, then the (small) survivor set is ordered by
+    (score desc, doc_id asc) and cut to k — so a pool merge sees the same
+    k docs regardless of shard layout."""
     if k <= 0:
         return docs[:0], scores[:0]
     if len(docs) > k:
@@ -4336,10 +4100,10 @@ class ScorerActor:
         self.mode = mode
 
     def warm(self) -> int:
-        """Open every shard reader (mmap + dict load) so first real queries
-        don't pay lazy-open latency; returns shard count."""
-        for si in range(len(self.engine._shard_dirs)):
-            self.engine._reader(si)
+        """Fold the actor's shards into its segment (mmaps + dictionaries)
+        so first real queries don't pay the open latency; returns the
+        shard count."""
+        self.engine._reader()
         return len(self.engine._shard_dirs)
 
     def explain(self, text: str, doc_id: int) -> list[dict]:
@@ -4401,15 +4165,8 @@ class ScorerActor:
         (others stay 0.0 and are dropped here); each doc lives in exactly
         one shard, so the pool union is exact."""
         sc = self.engine.lm_scores(text, doc_ids, mu=mu)
-        resident = set()
-        for si in range(len(self.engine._shard_dirs)):
-            r = self.engine._reader(si)
-            docids = np.asarray(r.docids)
-            ids = np.asarray(sorted(sc), dtype=np.int64)
-            if not len(docids) or not len(ids):
-                continue
-            pos = np.minimum(np.searchsorted(docids, ids), len(docids) - 1)
-            resident.update(int(d) for d in ids[docids[pos] == ids])
+        ids = np.asarray(sorted(sc), dtype=np.int64)
+        resident = set(ids[self.engine._resident(ids)].tolist())
         return {d: s for d, s in sc.items() if d in resident}
 
     def adjacency_partial(self, filters: dict[str, str]

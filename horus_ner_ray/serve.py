@@ -24,6 +24,13 @@ from urllib.parse import parse_qs, urlparse
 import numpy as np
 import pandas as pd
 
+# every mode GET /search and POST /batch accept (one list, so the two
+# routes cannot drift apart)
+SEARCH_MODES = ("or", "and", "phrase", "near", "boolean", "prefix", "fuzzy",
+                "contains", "lm", "classic", "regex", "wildcard", "stemmed",
+                "first", "common", "boosting", "dismax", "phrase_prefix",
+                "span_not", "qs")
+
 
 class QueryService:
     """Warm partitioned scorer pool with a blocking ``search()`` — the
@@ -697,17 +704,17 @@ def make_http_server(
                     raise ValueError("'queries' must be a list")
                 for e in queries:
                     m = e.get("mode", service.mode)
-                    if m not in ("or", "and", "phrase", "near", "boolean",
-                                 "prefix", "fuzzy", "contains", "lm",
-                                 "classic", "regex", "wildcard", "boosting",
-                                 "dismax", "common", "phrase_prefix",
-                                 "span_not"):
+                    if m not in SEARCH_MODES:
                         raise ValueError(f"unknown mode {m!r}")
             except (ValueError, KeyError, json.JSONDecodeError) as e:
                 self.send_error(400, str(e))
                 return
             try:
                 results = service.search_batch(queries)
+            except ValueError as e:  # an entry's options rejected by an actor
+                # (Ray re-raises it as a ValueError subclass)
+                self.send_error(400, str(e))
+                return
             except Exception as e:
                 self.send_error(500, str(e))
                 return
@@ -1229,12 +1236,7 @@ def make_http_server(
                 if k < 0:  # pandas head(-n) would return all-but-n rows
                     raise ValueError(f"k must be >= 0, got {k}")
                 req_mode = (qs.get("mode") or [service.mode])[0]
-                if req_mode not in ("or", "and", "phrase", "near", "boolean",
-                                    "prefix", "fuzzy", "contains", "lm",
-                                    "classic", "regex", "wildcard",
-                                    "stemmed", "first", "common", "boosting",
-                                    "dismax", "phrase_prefix", "span_not",
-                                    "qs"):
+                if req_mode not in SEARCH_MODES:
                     raise ValueError(f"unknown mode {req_mode!r}")
                 req_should = (qs.get("should") or [""])[0] or None
                 req_msm = int((qs.get("msm") or ["0"])[0])

@@ -140,14 +140,17 @@ def top_metrics(ds, key_col: str, sort_col: str, tiebreak_col: str,
     on the row with the MAX ``(sort_col, tiebreak_col)`` — an associative
     arg-max, so per-batch partials (one row per key per batch) reduce on
     the driver under the identical rule.  Returns
-    ``(key, sort_col, tiebreak_col, *metric_cols)`` sorted by key.
+    ``(key, sort_col, tiebreak_col, *metric_cols)`` sorted by key.  A
+    NULL/NaN ``sort_col`` ranks below every value (SQL ``ORDER BY ...
+    DESC`` puts NULLs last), so it wins only a key with no other rows.
     """
     cols = list(dict.fromkeys(
         [key_col, sort_col, tiebreak_col] + metric_cols))
 
     def partial(batch: pa.Table) -> pa.Table:
         df = batch.select(cols).to_pandas()
-        top = (df.sort_values([sort_col, tiebreak_col], kind="stable")
+        top = (df.sort_values([sort_col, tiebreak_col], kind="stable",
+                              na_position="first")
                .groupby(key_col, sort=False).tail(1))
         return pa.Table.from_pandas(top, preserve_index=False)
 
@@ -156,7 +159,8 @@ def top_metrics(ds, key_col: str, sort_col: str, tiebreak_col: str,
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True,
                      runtime_env=_rte())
     ).to_pandas()
-    out = (parts.sort_values([sort_col, tiebreak_col], kind="stable")
+    out = (parts.sort_values([sort_col, tiebreak_col], kind="stable",
+                             na_position="first")
            .groupby(key_col, sort=False).tail(1))
     return out.sort_values(key_col).reset_index(drop=True)[cols]
 

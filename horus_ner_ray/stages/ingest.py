@@ -57,35 +57,38 @@ def apply_ingest(ds, steps: list[dict]):
     One map_batches for the whole chain; every processor is a columnar
     Arrow kernel."""
     _validate(steps)
+    return ds.map_batches(_ingest_batch, fn_args=(steps,), batch_format="pyarrow",
+                          zero_copy_batch=True, runtime_env=_rte())
 
-    def fn(batch: pa.Table) -> pa.Table:
-        cols = {name: batch[name] for name in batch.column_names}
-        for s in steps:
-            op, f = s["op"], s["field"]
-            if op == "lowercase":
-                cols[f] = pc.utf8_lower(cols[f])
-            elif op == "uppercase":
-                cols[f] = pc.utf8_upper(cols[f])
-            elif op == "trim":
-                cols[f] = pc.utf8_trim_whitespace(cols[f])
-            elif op == "set":
-                v = s["value"]
-                cols[f] = pa.array([v] * len(batch))
-            elif op == "rename":
-                cols[s["target"]] = cols.pop(f)
-            elif op == "gsub":
-                cols[f] = pc.replace_substring_regex(
-                    cols[f], s["pattern"], s["replacement"])
-            elif op == "extract":
-                # group-1 extraction, '' on miss — regexp_extract parity
-                ex = pc.extract_regex(cols[f],
-                                      f"(?P<g>{s['pattern']})")
-                cols[s["target"]] = pc.fill_null(
-                    pc.struct_field(ex, "g"), "")
-            elif op == "length":
-                cols[s["target"]] = pc.cast(pc.utf8_length(cols[f]),
-                                            pa.int64())
-        return pa.table(cols)
 
-    return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True,
-                          runtime_env=_rte())
+def _ingest_batch(batch: pa.Table, steps: list[dict]) -> pa.Table:
+    """One block through the (validated) processor chain."""
+    cols = {name: batch[name] for name in batch.column_names}
+    for s in steps:
+        op, f = s["op"], s["field"]
+        if op == "lowercase":
+            cols[f] = pc.utf8_lower(cols[f])
+        elif op == "uppercase":
+            cols[f] = pc.utf8_upper(cols[f])
+        elif op == "trim":
+            cols[f] = pc.utf8_trim_whitespace(cols[f])
+        elif op == "set":
+            # typed from the value, so an empty block's column unifies
+            # with the others instead of coming out null-typed
+            v = s["value"]
+            cols[f] = pa.array([v] * len(batch), type=pa.scalar(v).type)
+        elif op == "rename":
+            cols[s["target"]] = cols.pop(f)
+        elif op == "gsub":
+            cols[f] = pc.replace_substring_regex(
+                cols[f], s["pattern"], s["replacement"])
+        elif op == "extract":
+            # group-1 extraction, '' on miss — regexp_extract parity
+            ex = pc.extract_regex(cols[f],
+                                  f"(?P<g>{s['pattern']})")
+            cols[s["target"]] = pc.fill_null(
+                pc.struct_field(ex, "g"), "")
+        elif op == "length":
+            cols[s["target"]] = pc.cast(pc.utf8_length(cols[f]),
+                                        pa.int64())
+    return pa.table(cols)

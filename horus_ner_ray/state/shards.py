@@ -32,6 +32,7 @@ and resume is the per-shard/per-fragment manifest files.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import shutil
 import time
@@ -39,6 +40,7 @@ from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from horus_ner_ray.config import PipelineConfig
@@ -339,54 +341,184 @@ def _flat_list(col: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
             np.asarray(la.values, dtype=np.int64))
 
 
+def _map_file(path: Path) -> mmap.mmap:
+    """Read-only mmap of a non-empty file (slices are bytes copies)."""
+    with open(path, "rb") as f:
+        return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+
+
+def _ranges_index(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Element indices of the half-open ranges [lo[i], hi[i]), concatenated
+    in range order (one vectorized pass, no per-range loop)."""
+    n = hi - lo
+    return np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(int(n.sum()), dtype=np.int64)
+
+
 class ShardReader:
-    """Reads one shard (mmap'd postings + dictionary arrays).
+    """Reads one segment: the union of one or more shards, folded at open.
+
+    The shards' dictionaries merge into one sorted term array; each term
+    keeps its per-shard pieces ("chunks") and their AND skip blocks as
+    byte ranges into the shards' mmap'd ``postings.bin`` files (no resident
+    copy of postings).  ``docids``/``dl`` are one ascending array over all
+    the segment's docs.  A term decodes with one gather of its byte
+    ranges, one varint pass over the gathered doc-gap and tf bytes, and a
+    segmented cumsum from each block's base; hash-mode shards interleave
+    doc ids, so a multi-shard list is then merged into ascending order
+    (positions are permuted with their postings).  Lookup and decode cost
+    therefore grow with the terms of a query, not with the shard count.
 
     ``cache_postings`` > 0 enables a bounded FIFO of DECODED posting lists
-    keyed by term index — the reference's per-term memo cache
+    keyed by segment term index — the reference's per-term memo cache
     (HORUS_TERM_SEARCH probe-before-insert, reference:
     src/core/feature_extraction/util.py:947-1016) re-expressed for a warm
     serving actor: hot terms (stopwords, df==N markers) decode varints
-    once per actor lifetime instead of once per query.  The budget counts
-    cached postings (~12 B each), so memory is bounded regardless of term
-    mix; cached arrays are treated as immutable by all scoring paths."""
+    once per actor lifetime instead of once per query.  The budget is the
+    whole segment's and counts cached postings (~20 B each with their
+    local indices), so memory is bounded regardless of term mix; cached
+    arrays are treated as immutable by all scoring paths."""
 
-    def __init__(self, shard_dir: str | Path, cache_postings: int = 0):
-        d = Path(shard_dir)
+    def __init__(self, shard_dirs: list[str | Path], cache_postings: int = 0):
+        dirs = [Path(d) for d in shard_dirs]
         self.cache_postings = int(cache_postings)
-        self._pcache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._pcache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._pcache_total = 0
-        self.manifest = json.loads((d / "manifest.json").read_text())
-        self.base = int(self.manifest["base_doc_id"])
-        self.post = np.memmap(d / "postings.bin", dtype=np.uint8, mode="r") if (
-            self.manifest["postings_bytes"] > 0
-        ) else np.zeros(0, dtype=np.uint8)
-        t = pq.read_table(d / "dict.parquet")
-        self.terms = np.asarray(t["term"], dtype=object)
-        self.df = np.asarray(t["df"], dtype=np.int64)
-        self.cf = np.asarray(t["cf"], dtype=np.int64)
-        self.doc_off = np.asarray(t["doc_off"], dtype=np.int64)
-        self.doc_len = np.asarray(t["doc_len"], dtype=np.int64)
-        self.tf_off = np.asarray(t["tf_off"], dtype=np.int64)
-        self.tf_len = np.asarray(t["tf_len"], dtype=np.int64)
-        # block lists as flat numpy arrays: term ti's blocks are
-        # [_blk_offs[ti], _blk_offs[ti + 1]) in each (shared offsets)
-        self._blk_offs, self._blk_last = _flat_list(t["block_last"])
-        _, self._blk_doc_boff = _flat_list(t["block_doc_boff"])
-        _, self._blk_tf_boff = _flat_list(t["block_tf_boff"])
-        self.with_positions = "pos_off" in t.schema.names
+        mans = [json.loads((d / "manifest.json").read_text()) for d in dirs]
+        self._post = [_map_file(d / "postings.bin") if m["postings_bytes"] > 0 else b""
+                      for d, m in zip(dirs, mans)]
+        tabs = [pq.read_table(d / "dict.parquet") for d in dirs]
+        self.with_positions = bool(tabs) and all("pos_off" in t.schema.names for t in tabs)
+
+        # docs: one ascending array; _doc_shard[i] is the shard (position in
+        # shard_dirs) holding docids[i]
+        ids = [np.load(d / "docids.npy") for d in dirs]
+        docids = np.concatenate(ids) if ids else np.zeros(0, dtype=np.int64)
+        dl = (np.concatenate([np.load(d / "dl.npy") for d in dirs]) if dirs
+              else np.zeros(0, dtype=np.int32))
+        doc_shard = np.repeat(np.arange(len(dirs), dtype=np.int64), [len(x) for x in ids])
+        if len(docids) > 1 and (docids[1:] < docids[:-1]).any():
+            o = np.argsort(docids, kind="stable")
+            docids, dl, doc_shard = docids[o], dl[o], doc_shard[o]
+        self.docids, self.dl, self._doc_shard = docids, dl, doc_shard
+
+        # terms: sort every shard's rows by (term, shard); a term's rows
+        # ("chunks") are then adjacent, in shard order
+        rows = np.asarray([t.num_rows for t in tabs], dtype=np.int64)
+        row_shard = np.repeat(np.arange(len(dirs), dtype=np.int64), rows)
+        term_col = pa.chunked_array(
+            [c for t in tabs for c in t["term"].cast(pa.large_string()).chunks],
+            pa.large_string())
+        order = np.asarray(pc.sort_indices(
+            pa.table({"t": term_col, "s": row_shard}),
+            sort_keys=[("t", "ascending"), ("s", "ascending")]), dtype=np.int64)
+        sterms = term_col.take(order).to_numpy()
+        first = np.ones(len(sterms), dtype=bool)
+        first[1:] = sterms[1:] != sterms[:-1]
+        self.terms = sterms[first]
+        self._cs = np.append(np.flatnonzero(first), len(sterms))  # term -> chunks
+
+        def chunk_col(name: str) -> np.ndarray:
+            if not tabs:
+                return np.zeros(0, dtype=np.int64)
+            return np.concatenate([np.asarray(t[name], dtype=np.int64) for t in tabs])[order]
+
+        c_shard = row_shard[order]
+        c_df = chunk_col("df")
+        starts = self._cs[:-1]
+        self.df = np.add.reduceat(c_df, starts) if len(starts) else c_df[:0]
+        cf = chunk_col("cf")
+        self.cf = np.add.reduceat(cf, starts) if len(starts) else cf[:0]
+        self._c_shard = c_shard
         if self.with_positions:
-            self.pos_off = np.asarray(t["pos_off"], dtype=np.int64)
-            self.pos_len = np.asarray(t["pos_len"], dtype=np.int64)
-        if self.cache_postings > 0:
-            # serving mode: the doc-id / dl arrays are consulted per query
-            # (searchsorted); resident copies beat memmap page-fault churn
-            # (~1 MB per shard)
-            self.docids = np.load(d / "docids.npy")
-            self.dl = np.load(d / "dl.npy")
-        else:
-            self.docids = np.load(d / "docids.npy", mmap_mode="r")
-            self.dl = np.load(d / "dl.npy", mmap_mode="r")
+            self._c_pos_lo = chunk_col("pos_off")
+            self._c_pos_hi = self._c_pos_lo + chunk_col("pos_len")
+
+        # blocks, in chunk order: chunk c owns blocks [_cb[c], _cb[c + 1])
+        blk = [tuple(_flat_list(t[n]) for n in ("block_last", "block_doc_boff", "block_tf_boff"))
+               for t in tabs]
+        nblk_shard = np.asarray([len(b[0][1]) for b in blk], dtype=np.int64)
+        shard_blk0 = np.cumsum(nblk_shard) - nblk_shard
+        row_b0 = (np.concatenate([b[0][0][:-1] + o for b, o in zip(blk, shard_blk0)])
+                  if tabs else np.zeros(0, dtype=np.int64))[order]
+        c_nblk = (np.concatenate([np.diff(b[0][0]) for b in blk])
+                  if tabs else np.zeros(0, dtype=np.int64))[order]
+        perm = _ranges_index(row_b0, row_b0 + c_nblk)
+
+        def blk_col(j: int) -> np.ndarray:
+            if not tabs:
+                return np.zeros(0, dtype=np.int64)
+            return np.concatenate([b[j][1] for b in blk])[perm]
+
+        last, self._blk_d_lo, self._blk_t_lo = blk_col(0), blk_col(1), blk_col(2)
+        self._cb = np.zeros(len(c_nblk) + 1, dtype=np.int64)
+        np.cumsum(c_nblk, out=self._cb[1:])
+        b_chunk = np.repeat(np.arange(len(c_nblk), dtype=np.int64), c_nblk)
+        nb = len(last)
+        b_first, b_last = self._cb[:-1], self._cb[1:] - 1  # every chunk has a block
+        self._blk_shard = c_shard[b_chunk]
+        bases = np.asarray([int(m["base_doc_id"]) for m in mans], dtype=np.int64)
+        self._blk_base = np.empty(nb, dtype=np.int64)
+        self._blk_base[1:] = last[:-1]
+        self._blk_base[b_first] = bases[self._blk_shard[b_first]]
+        # a block's byte range ends where the next block of its chunk
+        # starts, or at its chunk's end
+        self._blk_d_hi = np.empty(nb, dtype=np.int64)
+        self._blk_d_hi[:-1] = self._blk_d_lo[1:]
+        self._blk_d_hi[b_last] = chunk_col("doc_off") + chunk_col("doc_len")
+        self._blk_t_hi = np.empty(nb, dtype=np.int64)
+        self._blk_t_hi[:-1] = self._blk_t_lo[1:]
+        self._blk_t_hi[b_last] = chunk_col("tf_off") + chunk_col("tf_len")
+        B = np.asarray([int(m["postings_block"]) for m in mans], dtype=np.int64)[self._blk_shard]
+        self._blk_n = np.minimum(B, c_df[b_chunk] - B * (np.arange(nb) - self._cb[b_chunk]))
+        # (shard, local doc index) of each block's last doc, as one sortable
+        # key: a term's blocks ascend in it, and so do a shard's docs
+        self._blk_key = self._doc_key(np.searchsorted(self.docids, last))
+
+    def _doc_key(self, li: np.ndarray) -> np.ndarray:
+        return self._doc_shard[li] * max(len(self.docids), 1) + li
+
+    def _term_blocks(self, ti: int) -> tuple[int, int]:
+        return int(self._cb[self._cs[ti]]), int(self._cb[self._cs[ti + 1]])
+
+    def _gather(self, shard: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The byte ranges [lo, hi) of the shards' postings, concatenated in
+        order.  Ranges that continue one another in the same file (a
+        term's consecutive blocks) are read as one slice."""
+        if len(lo) > 1:
+            new = np.ones(len(lo), dtype=bool)
+            new[1:] = (lo[1:] != hi[:-1]) | (shard[1:] != shard[:-1])
+            first = np.flatnonzero(new)
+            last = np.append(first[1:], len(lo)) - 1
+            shard, lo, hi = shard[first], lo[first], hi[last]
+        post = self._post
+        return np.frombuffer(b"".join([post[s][a:b] for s, a, b in zip(
+            shard.tolist(), lo.tolist(), hi.tolist())]), dtype=np.uint8)
+
+    def _decode(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(doc ids ascending, tfs, merge order or None) of the given
+        blocks: one gather and one varint pass over their doc-gap bytes
+        followed by their tf bytes.  ``order`` permutes the blocks'
+        postings (in block order) into ascending doc order."""
+        n = self._blk_n[blocks]
+        shard = self._blk_shard[blocks]
+        vals = codec.varint_decode(self._gather(
+            np.concatenate([shard, shard]),
+            np.concatenate([self._blk_d_lo[blocks], self._blk_t_lo[blocks]]),
+            np.concatenate([self._blk_d_hi[blocks], self._blk_t_hi[blocks]])))
+        total = int(n.sum())
+        c = np.cumsum(vals[:total])
+        tf = vals[total:].astype(np.int32)
+        # segmented cumsum: each block restarts from its base; uint64 wraps
+        # like two's complement, so the int64 view is exact
+        first = np.cumsum(n) - n
+        prev = np.zeros(len(n), dtype=np.uint64)
+        prev[1:] = c[first[1:] - 1]
+        d = (c + np.repeat(self._blk_base[blocks].astype(np.uint64) - prev, n)).view(np.int64)
+        order = None
+        if len(n) > 1 and (d[1:] <= d[:-1]).any():
+            order = np.argsort(d, kind="stable")
+            d, tf = d[order], tf[order]
+        return d, tf, order
 
     def term_index(self, term: str) -> int | None:
         i = int(np.searchsorted(self.terms, term))
@@ -398,15 +530,12 @@ class ShardReader:
         hit = self._pcache.get(ti)
         if hit is not None:
             return hit[0], hit[1]
-        d = codec.decode_doc_ids(
-            self.post[self.doc_off[ti] : self.doc_off[ti] + self.doc_len[ti]], self.base
-        )
-        tf = codec.decode_tfs(self.post[self.tf_off[ti] : self.tf_off[ti] + self.tf_len[ti]])
+        d, tf, _ = self._decode(np.arange(*self._term_blocks(ti)))
         return d, tf
 
     def postings_local(self, ti: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(docs, tfs, local_indices) where local_indices map each posting's
-        doc id into this shard's docids/dl arrays — the triple every OR
+        doc id into the segment's docids/dl arrays — the triple every OR
         scoring pass needs.  Cached together: the searchsorted is as hot as
         the varint decode at query time (profiled ~20% vs ~32%)."""
         hit = self._pcache.get(ti)
@@ -423,57 +552,56 @@ class ShardReader:
         return d, tf, li
 
     def postings_blocks(self, ti: int, block_sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """TRUE partial decode: only the selected blocks' byte ranges are
-        read and decoded.  Block j's doc base is block_last[j-1] (the gap
-        stream restarts cleanly at block boundaries by construction).  Used
-        by the AND-mode skipper: for selective intersections this touches
-        O(candidate blocks), not the whole posting list."""
-        lo, hi = self._blk_offs[ti], self._blk_offs[ti + 1]
-        lasts = self._blk_last[lo:hi]
-        dboff = self._blk_doc_boff[lo:hi]
-        tboff = self._blk_tf_boff[lo:hi]
-        nblk = len(lasts)
-        term_doc_end = self.doc_off[ti] + self.doc_len[ti]
-        term_tf_end = self.tf_off[ti] + self.tf_len[ti]
-        docs_out: list[np.ndarray] = []
-        tfs_out: list[np.ndarray] = []
-        for bi in block_sel:
-            bi = int(bi)
-            d_lo = dboff[bi]
-            d_hi = dboff[bi + 1] if bi + 1 < nblk else term_doc_end
-            t_lo = tboff[bi]
-            t_hi = tboff[bi + 1] if bi + 1 < nblk else term_tf_end
-            base = int(lasts[bi - 1]) if bi > 0 else self.base
-            docs_out.append(codec.decode_doc_ids(self.post[d_lo:d_hi], base))
-            tfs_out.append(codec.decode_tfs(self.post[t_lo:t_hi]))
-        if not docs_out:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32)
-        return np.concatenate(docs_out), np.concatenate(tfs_out)
+        """TRUE partial decode: only the selected blocks (indices into the
+        term's block list, over all its shards) are read, in the same one
+        gather + one varint pass as a whole list.  Used by the AND-mode
+        skipper: for selective intersections this touches O(candidate
+        blocks), not the whole posting list."""
+        b0, _ = self._term_blocks(ti)
+        d, tf, _ = self._decode(b0 + np.asarray(block_sel, dtype=np.int64))
+        return d, tf
 
     def postings_covering(self, ti: int, docs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Postings of term ``ti`` that can match any of the sorted doc ids
-        ``docs``: the whole cached list on a cache hit (a superset of the
-        covering blocks, so intersecting with it gives the same answer),
-        else a partial decode of only the blocks whose doc range covers
-        one of ``docs``."""
-        hit = self._pcache.get(ti)
-        if hit is not None:
-            return hit[0], hit[1]
-        lasts = self._blk_last[self._blk_offs[ti]:self._blk_offs[ti + 1]]
-        blocks = np.unique(np.searchsorted(lasts, docs))
-        return self.postings_blocks(ti, blocks[blocks < len(lasts)])
+        """Postings of term ``ti`` that can match any of the sorted segment
+        doc ids ``docs``.  With the postings cache on, the whole list
+        through ``postings_local`` (a superset of the covering blocks, so
+        intersecting with it gives the same answer, and the list is cached
+        for the next query); else a partial decode of only the blocks
+        whose (shard, doc range) covers one of ``docs``."""
+        if ti in self._pcache or 0 < self.df[ti] <= self.cache_postings:
+            d, tf, _ = self.postings_local(ti)
+            return d, tf
+        b0, b1 = self._term_blocks(ti)
+        li = np.searchsorted(self.docids, docs)
+        pos = np.searchsorted(self._blk_key[b0:b1], self._doc_key(li))
+        ok = pos < b1 - b0
+        # a doc's shard may hold no block of this term: the search then
+        # lands on another shard's block, which cannot match
+        ok[ok] = self._blk_shard[b0 + pos[ok]] == self._doc_shard[li[ok]]
+        sel = np.unique(pos[ok])
+        return self.postings_blocks(ti, sel)
 
     def positions(self, ti: int, tfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Decode the term's position stream -> (flat int32, offsets) where
-        posting i owns flat[offsets[i]:offsets[i+1]] (phrase queries)."""
+        posting i of ``postings(ti)`` (tfs ``tfs``) owns
+        flat[offsets[i]:offsets[i+1]] (phrase queries)."""
         if not self.with_positions:
             raise ValueError("index built without positions (cfg.with_positions)")
-        buf = self.post[self.pos_off[ti] : self.pos_off[ti] + self.pos_len[ti]]
-        flat = codec.decode_positions(buf, tfs)
+        c0, c1 = int(self._cs[ti]), int(self._cs[ti + 1])
+        buf = self._gather(self._c_shard[c0:c1], self._c_pos_lo[c0:c1], self._c_pos_hi[c0:c1])
+        tfs = np.asarray(tfs, dtype=np.int64)
         offsets = np.zeros(len(tfs) + 1, dtype=np.int64)
-        np.cumsum(np.asarray(tfs, dtype=np.int64), out=offsets[1:])
-        return flat, offsets
+        np.cumsum(tfs, out=offsets[1:])
+        order = self._decode(np.arange(*self._term_blocks(ti)))[2] if c1 - c0 > 1 else None
+        if order is None:
+            return codec.decode_positions(buf, tfs), offsets
+        # the stream is in shard order: decode with shard-order tfs, then
+        # move each posting's run to its merged place
+        tf_shard = np.empty_like(tfs)
+        tf_shard[order] = tfs
+        flat = codec.decode_positions(buf, tf_shard)
+        ends = np.cumsum(tf_shard)
+        return flat[_ranges_index((ends - tf_shard)[order], ends[order])], offsets
 
     def doc_length(self, doc_ids: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.docids, doc_ids)
-        return np.asarray(self.dl)[idx]
+        return self.dl[np.searchsorted(self.docids, doc_ids)]

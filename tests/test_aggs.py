@@ -244,6 +244,23 @@ def test_apply_ingest(ray_session):
         assert "unknown op" in str(e)
 
 
+def test_apply_ingest_set_on_empty_block_unifies():
+    """op=set on an empty block yields the value's type, not a null-typed
+    column, so it unifies with the blocks that have rows."""
+    import pyarrow as pa
+
+    from horus_ner_ray.stages.ingest import _ingest_batch
+
+    tbl = pa.table({"id": pa.array([1, 2], pa.int64())})
+    steps = [{"op": "set", "field": "tag", "value": "v1"},
+             {"op": "set", "field": "n", "value": 7}]
+    blocks = [_ingest_batch(tbl.slice(0, 0), steps), _ingest_batch(tbl, steps)]
+    out = pa.concat_tables(blocks)
+    assert out.schema.field("tag").type == pa.string()
+    assert out.schema.field("n").type == pa.int64()
+    assert out["tag"].to_pylist() == ["v1", "v1"]
+
+
 def test_partitioned_parquet_roundtrip(ray_session, tmp_path):
     import ray.data as rd
 
@@ -375,3 +392,27 @@ def test_lag1_autocorr(ray_session, frame, blocks):
     want = math.floor(num / (da * db) * 1e6 + 0.5) if da and db else 0
     assert out["n_pairs"][0] == n
     assert out["r_e6"][0] == want
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_top_metrics_null_sort_value_ranks_last(ray_session, blocks):
+    """A NULL sort value never beats a real one (it used to win ``tail(1)``
+    when its tiebreak was higher) and wins only a key whose every sort
+    value is NULL — DuckDB's ``ORDER BY ts DESC NULLS LAST, eid DESC``."""
+    import duckdb
+    import pyarrow as pa
+    import ray.data as rd
+
+    tbl = pa.table({
+        "k": ["a", "a", "b", "b", "b", "c", "c"],
+        "ts": pa.array([10, None, None, 5, 7, None, None], pa.timestamp("us")),
+        "eid": pa.array([1, 2, 9, 3, 4, 5, 6], pa.int64()),
+        "x": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
+    })
+    out = top_metrics(rd.from_arrow(tbl).repartition(blocks), "k", "ts", "eid", ["x"])
+    want = duckdb.sql(
+        "SELECT k, eid, x FROM (SELECT *, row_number() OVER (PARTITION BY k "
+        "ORDER BY ts DESC NULLS LAST, eid DESC) AS rn FROM tbl) "
+        "WHERE rn = 1 ORDER BY k").fetchall()
+    assert list(zip(out["k"], out["eid"], out["x"])) == want
+    assert want == [("a", 1, 1.0), ("b", 4, 5.0), ("c", 6, 7.0)]

@@ -95,8 +95,8 @@ def test_merge_tombstones_union(hash_halves, tmp_path_factory,
     a2, b2 = base / "a2", base / "b2"
     shutil.copytree(a, a2)
     shutil.copytree(b, b2)
-    dead_a = np.asarray(QueryEngine(a2)._reader(0).docids)[:3]
-    dead_b = np.asarray(QueryEngine(b2)._reader(1).docids)[:2]
+    dead_a = np.load(IndexPaths(a2).shard_dir(0) / "docids.npy")[:3]
+    dead_b = np.load(IndexPaths(b2).shard_dir(1) / "docids.npy")[:2]
     delete_docs(a2, dead_a)
     delete_docs(b2, dead_b)
     out = base / "out"

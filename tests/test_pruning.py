@@ -59,20 +59,16 @@ def test_hot_single_term_rank_identical(big_fixture):
 
 def test_or_and_mix_rank_identical_with_postings_cache(big_fixture, monkeypatch):
     """A hot+rare mix sent as OR and as AND: exact with the postings cache
-    off, and on a second pass with it on, when every term's list is cached
-    and AND intersects against the cached lists instead of decoding
-    blocks."""
+    off, and with it on.  AND fills the cache too: after an AND-only pass
+    every list AND read is cached, and a second pass decodes no blocks."""
     idx, files = big_fixture
     bf = BruteForceBM25.from_corpus_files(files)
     queries = _hot_rare_queries(bf, 30, 1)
     plain = QueryEngine(idx)
-    cached = QueryEngine(idx, cache_postings=10_000_000)
     for q in queries:
         for mode in ("or", "and"):
-            want = bf.search(q, 10, mode=mode)
-            assert plain.search(q, 10, mode=mode) == want, (q, mode)
-            assert cached.search(q, 10, mode=mode) == want, (q, mode)
-    assert any(r._pcache for r in cached._readers.values())
+            assert plain.search(q, 10, mode=mode) == bf.search(q, 10, mode=mode), (q, mode)
+
     block_decodes = []
     orig = ShardReader.postings_blocks
 
@@ -81,10 +77,15 @@ def test_or_and_mix_rank_identical_with_postings_cache(big_fixture, monkeypatch)
         return orig(reader, ti, blocks)
 
     monkeypatch.setattr(ShardReader, "postings_blocks", counting)
+    and_only = QueryEngine(idx, cache_postings=10_000_000)
     for q in queries:
-        for mode in ("or", "and"):
-            assert cached.search(q, 10, mode=mode) == bf.search(q, 10, mode=mode), (q, mode)
-    assert block_decodes == [], "AND re-decoded blocks of a cached list"
+        assert and_only.search(q, 10, mode="and") == bf.search(q, 10, mode="and"), q
+    assert and_only._reader()._pcache, "AND left the postings cache empty"
+    block_decodes.clear()
+    for q in queries:
+        for mode in ("and", "or"):
+            assert and_only.search(q, 10, mode=mode) == bf.search(q, 10, mode=mode), (q, mode)
+    assert block_decodes == [], "AND decoded blocks of a cached list"
 
 
 def test_all_ties_rank_by_doc_id(tmp_path, ray_session):

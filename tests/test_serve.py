@@ -549,6 +549,36 @@ def test_http_batch_new_modes(http_service, built_index):
     assert got["b"] == want_b and got["d"] == want_d
 
 
+def test_http_get_and_batch_agree_on_status(http_service):
+    """The same entries sent as GET /search and as a one-entry POST /batch
+    get the same status: 200 for every mode GET accepts, 400 for options
+    the route or an actor rejects."""
+    entries = [
+        ({"q": "alpha beta", "mode": "or"}, 200),
+        ({"q": "alphas", "mode": "stemmed"}, 200),
+        ({"q": "alpha AND beta", "mode": "qs"}, 200),
+        ({"q": "alpha", "mode": "and", "boost": "alpha:2"}, 200),
+        ({"q": "alpha beta", "mode": "nope"}, 400),
+        ({"q": "alpha beta", "mode": "phrase", "boost": "alpha:2"}, 400),
+        ({"q": "alpha beta", "mode": "or", "slop": 2}, 400),
+        ({"q": "alpha", "mode": "and", "boost": "alpha:-1"}, 400),
+    ]
+
+    def status(req) -> int:
+        try:
+            with urllib.request.urlopen(req, timeout=30) as r:
+                return r.status
+        except urllib.error.HTTPError as e:
+            return e.code
+
+    for e, want in entries:
+        get = status(http_service + "/search?" + urllib.parse.urlencode(e))
+        post = status(urllib.request.Request(
+            http_service + "/batch", data=json.dumps({"queries": [e]}).encode(),
+            headers={"Content-Type": "application/json"}))
+        assert (get, post) == (want, want), e
+
+
 def test_http_conv_route(http_service, small_corpus):
     """GET /conv returns every stored turn of the conv, doc-ordered,
     text-equal to the source table; missing id= is a clean 400."""

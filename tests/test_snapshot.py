@@ -12,6 +12,7 @@ from horus_ner_ray.pipelines.build_index import build_index
 from horus_ner_ray.pipelines.delete import compact_index, delete_docs
 from horus_ner_ray.pipelines.query import QueryEngine
 from horus_ner_ray.pipelines.snapshot import snapshot_index
+from horus_ner_ray.state.shards import IndexPaths
 from horus_ner_ray.synth import reference_queries
 
 
@@ -40,8 +41,7 @@ def test_snapshot_survives_source_mutation(snap_pair):
               for q in reference_queries(k=10)}
     # mutate the SOURCE: tombstone a slice, then compact (rewrites shards,
     # docstore, runs, stats — all via tmp+rename)
-    eng = QueryEngine(idx)
-    delete_docs(idx, np.asarray(eng._reader(0).docids)[:10])
+    delete_docs(idx, np.load(IndexPaths(idx).shard_dir(0) / "docids.npy")[:10])
     compact_index(idx)
     es = QueryEngine(snap)  # fresh open of the snapshot
     for text, want in before.items():
@@ -100,8 +100,7 @@ def test_job_change_preserves_tombstones_same_corpus(small_corpus,
     cfg = PipelineConfig(num_shards=3, doc_id_mode="hash")
     idx = tmp_path_factory.mktemp("tombkeep") / "idx"
     build_index(small_corpus, idx, cfg)
-    eng = QueryEngine(idx)
-    dead = np.asarray(eng._reader(0).docids)[:5]
+    dead = np.load(IndexPaths(idx).shard_dir(0) / "docids.npy")[:5]
     delete_docs(idx, dead)
     build_index(small_corpus, idx,
                 PipelineConfig(num_shards=5, doc_id_mode="hash"))

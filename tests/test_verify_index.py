@@ -11,8 +11,8 @@ import pytest
 from horus_ner_ray.config import PipelineConfig
 from horus_ner_ray.pipelines.build_index import build_index
 from horus_ner_ray.pipelines.delete import delete_docs
-from horus_ner_ray.pipelines.query import QueryEngine
 from horus_ner_ray.pipelines.verify import IndexCorruption, verify_index
+from horus_ner_ray.state.shards import IndexPaths
 
 
 @pytest.fixture()
@@ -20,8 +20,7 @@ def healthy(small_corpus, tmp_path, ray_session):
     idx = tmp_path / "idx"
     build_index(small_corpus, idx,
                 PipelineConfig(num_shards=3, doc_id_mode="hash"))
-    eng = QueryEngine(idx)
-    delete_docs(idx, np.asarray(eng._reader(0).docids)[:4])
+    delete_docs(idx, np.load(IndexPaths(idx).shard_dir(0) / "docids.npy")[:4])
     return idx
 
 
